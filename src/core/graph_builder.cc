@@ -1,8 +1,10 @@
 #include "src/core/graph_builder.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
+#include <vector>
 
+#include "src/core/correlation_index.h"
 #include "src/util/logging.h"
 
 namespace daydream {
@@ -14,33 +16,52 @@ bool IsBlockingSyncApi(const TraceEvent& e) {
          (e.api == ApiKind::kDeviceSynchronize || e.api == ApiKind::kStreamSynchronize);
 }
 
+bool IsLaunchApi(const TraceEvent& e) {
+  return e.kind == EventKind::kRuntimeApi &&
+         (e.api == ApiKind::kLaunchKernel || e.api == ApiKind::kMemcpyAsync ||
+          e.api == ApiKind::kMemcpySync);
+}
+
 }  // namespace
 
 DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions& options) {
   DependencyGraph graph;
   const std::vector<TraceEvent>& events = trace.events();
+  graph.Reserve(static_cast<int>(events.size()));
 
   LayerMap layer_map;
   if (options.map_layers) {
     layer_map = LayerMap::Compute(trace);
   }
 
-  // Blocking DtoH memcpy APIs are recognized by the DtoH kind of the GPU copy
-  // sharing their correlation id.
-  std::map<int64_t, const TraceEvent*> gpu_by_correlation;
-  for (const TraceEvent& e : events) {
-    if (e.is_gpu() && e.correlation_id != 0) {
-      gpu_by_correlation[e.correlation_id] = &e;
+  // The last GPU event and the last launch API carrying each correlation id
+  // (id 0 means none).
+  std::vector<CorrelationIndex::Entry> gpu_entries;
+  std::vector<CorrelationIndex::Entry> launch_entries;
+  for (size_t idx = 0; idx < events.size(); ++idx) {
+    const TraceEvent& e = events[idx];
+    if (e.correlation_id == 0) {
+      continue;
+    }
+    if (e.is_gpu()) {
+      gpu_entries.emplace_back(e.correlation_id, idx);
+    } else if (IsLaunchApi(e)) {
+      launch_entries.emplace_back(e.correlation_id, idx);
     }
   }
+  const CorrelationIndex gpu_by_correlation(std::move(gpu_entries));
+  const CorrelationIndex launch_by_correlation(std::move(launch_entries));
+
+  // Blocking DtoH memcpy APIs are recognized by the DtoH kind of the GPU copy
+  // sharing their correlation id.
   auto is_blocking_dtoh_api = [&](const TraceEvent& e) {
     if (e.kind != EventKind::kRuntimeApi || e.api != ApiKind::kMemcpyAsync ||
         e.correlation_id == 0) {
       return false;
     }
-    auto it = gpu_by_correlation.find(e.correlation_id);
-    return it != gpu_by_correlation.end() &&
-           it->second->memcpy_kind == MemcpyKind::kDeviceToHost;
+    const size_t gpu = gpu_by_correlation.Find(e.correlation_id);
+    return gpu != CorrelationIndex::kNone &&
+           events[gpu].memcpy_kind == MemcpyKind::kDeviceToHost;
   };
 
   // Create tasks in time order so thread sequences come out sorted.
@@ -48,9 +69,10 @@ DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions
   for (size_t i = 0; i < order.size(); ++i) {
     order[i] = i;
   }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return events[a].start < events[b].start;
-  });
+  const auto by_start = [&](size_t a, size_t b) { return events[a].start < events[b].start; };
+  if (!std::is_sorted(order.begin(), order.end(), by_start)) {  // collected traces already are
+    std::stable_sort(order.begin(), order.end(), by_start);
+  }
 
   std::vector<TaskId> task_of_event(events.size(), kInvalidTask);
   for (size_t idx : order) {
@@ -110,43 +132,29 @@ DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions
   // Gaps: measured idle time between consecutive CPU events on a thread,
   // computed against the *measured* end (not the clipped duration): a blocking
   // API's wait lives in the GPU->CPU edge, while its gap stays the small
-  // framework overhead that follows the measured return.
-  {
-    std::map<int, std::vector<size_t>> cpu_events_by_thread;
-    for (size_t idx : order) {
-      const TraceEvent& e = events[idx];
-      if (e.is_cpu() && e.kind != EventKind::kLayerMarker) {
-        cpu_events_by_thread[e.thread_id].push_back(idx);
-      }
+  // framework overhead that follows the measured return. A CPU thread's lane
+  // holds exactly its CPU events in time order, so the next event on the
+  // thread is the next task in the lane.
+  for (size_t idx : order) {
+    const TraceEvent& e = events[idx];
+    if (!e.is_cpu() || e.kind == EventKind::kLayerMarker) {
+      continue;
     }
-    for (const auto& [tid, idxs] : cpu_events_by_thread) {
-      for (size_t i = 0; i + 1 < idxs.size(); ++i) {
-        const TraceEvent& cur = events[idxs[i]];
-        const TraceEvent& next = events[idxs[i + 1]];
-        graph.task(task_of_event[idxs[i]]).gap = std::max<TimeNs>(0, next.start - cur.end());
-      }
+    const TaskId next = graph.NextInThread(task_of_event[idx]);
+    if (next != kInvalidTask) {
+      graph.task(task_of_event[idx]).gap = std::max<TimeNs>(0, graph.task(next).start - e.end());
     }
   }
 
   // Dependency type 3: correlation edges (launch API -> GPU task).
-  std::map<int64_t, TaskId> launch_by_correlation;
   for (size_t idx = 0; idx < events.size(); ++idx) {
     const TraceEvent& e = events[idx];
-    if (e.kind == EventKind::kRuntimeApi && e.correlation_id != 0 &&
-        (e.api == ApiKind::kLaunchKernel || e.api == ApiKind::kMemcpyAsync ||
-         e.api == ApiKind::kMemcpySync)) {
-      launch_by_correlation[e.correlation_id] = task_of_event[idx];
+    if (!e.is_gpu() || e.correlation_id == 0) {
+      continue;
     }
-  }
-  std::map<int64_t, TaskId> gpu_task_by_correlation;
-  for (size_t idx = 0; idx < events.size(); ++idx) {
-    const TraceEvent& e = events[idx];
-    if (e.is_gpu() && e.correlation_id != 0) {
-      gpu_task_by_correlation[e.correlation_id] = task_of_event[idx];
-      auto it = launch_by_correlation.find(e.correlation_id);
-      if (it != launch_by_correlation.end()) {
-        graph.AddEdge(it->second, task_of_event[idx]);
-      }
+    const size_t launch = launch_by_correlation.Find(e.correlation_id);
+    if (launch != CorrelationIndex::kNone) {
+      graph.AddEdge(task_of_event[launch], task_of_event[idx]);
     }
   }
 
@@ -154,26 +162,37 @@ DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions
   // tracking the last GPU task enqueued on each stream; a blocking API makes
   // the *next* CPU task on its thread depend on those GPU tasks, so that the
   // measured wait is reproduced — and shrinks when the GPU work shrinks.
-  std::map<int, TaskId> last_enqueued;  // stream -> gpu task
-  auto next_on_thread = [&](TaskId id) { return graph.NextInThread(id); };
+  std::vector<std::pair<int, TaskId>> last_enqueued;  // (stream, gpu task), by stream
+  auto last_on_stream = [&](int stream) {
+    return std::lower_bound(
+        last_enqueued.begin(), last_enqueued.end(), stream,
+        [](const std::pair<int, TaskId>& entry, int s) { return entry.first < s; });
+  };
+  std::vector<TaskId> wait_on;
   for (size_t idx : order) {
     const TraceEvent& e = events[idx];
     if (e.kind == EventKind::kLayerMarker) {
       continue;
     }
     if (e.kind == EventKind::kRuntimeApi && e.correlation_id != 0) {
-      auto it = gpu_by_correlation.find(e.correlation_id);
-      if (it != gpu_by_correlation.end()) {
-        last_enqueued[it->second->stream_id] = gpu_task_by_correlation[e.correlation_id];
+      const size_t gpu = gpu_by_correlation.Find(e.correlation_id);
+      if (gpu != CorrelationIndex::kNone) {
+        const int stream = events[gpu].stream_id;
+        const auto it = last_on_stream(stream);
+        if (it != last_enqueued.end() && it->first == stream) {
+          it->second = task_of_event[gpu];
+        } else {
+          last_enqueued.insert(it, {stream, task_of_event[gpu]});
+        }
       }
     }
     TaskId blocked = kInvalidTask;
-    std::vector<TaskId> wait_on;
+    wait_on.clear();
     if (IsBlockingSyncApi(e)) {
-      blocked = next_on_thread(task_of_event[idx]);
+      blocked = graph.NextInThread(task_of_event[idx]);
       if (e.api == ApiKind::kStreamSynchronize && e.stream_id >= 0) {
-        auto it = last_enqueued.find(e.stream_id);
-        if (it != last_enqueued.end()) {
+        const auto it = last_on_stream(e.stream_id);
+        if (it != last_enqueued.end() && it->first == e.stream_id) {
           wait_on.push_back(it->second);
         }
       } else {
@@ -182,8 +201,8 @@ DependencyGraph BuildDependencyGraph(const Trace& trace, const GraphBuildOptions
         }
       }
     } else if (is_blocking_dtoh_api(e)) {
-      blocked = next_on_thread(task_of_event[idx]);
-      wait_on.push_back(gpu_task_by_correlation[e.correlation_id]);
+      blocked = graph.NextInThread(task_of_event[idx]);
+      wait_on.push_back(task_of_event[gpu_by_correlation.Find(e.correlation_id)]);
     }
     if (blocked != kInvalidTask) {
       for (TaskId gpu_task : wait_on) {

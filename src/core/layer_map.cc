@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
+#include "src/core/correlation_index.h"
 #include "src/util/logging.h"
 
 namespace daydream {
@@ -42,7 +44,7 @@ LayerMap LayerMap::Compute(const Trace& trace) {
   };
 
   // Pass 1: CPU events -> enclosing layer window; collect launch correlations.
-  std::map<int64_t, LayerAssignment> by_correlation;
+  std::vector<CorrelationIndex::Entry> assigned_launches;
   const std::vector<TraceEvent>& events = trace.events();
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
@@ -55,9 +57,10 @@ LayerMap LayerMap::Compute(const Trace& trace) {
     }
     map.assignments_[i] = LayerAssignment{span->layer_id, span->phase};
     if (e.correlation_id != 0) {
-      by_correlation[e.correlation_id] = map.assignments_[i];
+      assigned_launches.emplace_back(e.correlation_id, i);
     }
   }
+  const CorrelationIndex by_correlation(std::move(assigned_launches));
 
   // Pass 2: GPU events inherit via correlation id (Figure 3).
   for (size_t i = 0; i < events.size(); ++i) {
@@ -65,9 +68,9 @@ LayerMap LayerMap::Compute(const Trace& trace) {
     if (!e.is_gpu() || e.correlation_id == 0) {
       continue;
     }
-    auto it = by_correlation.find(e.correlation_id);
-    if (it != by_correlation.end()) {
-      map.assignments_[i] = it->second;
+    const size_t launch = by_correlation.Find(e.correlation_id);
+    if (launch != CorrelationIndex::kNone) {
+      map.assignments_[i] = map.assignments_[launch];
     }
   }
   return map;

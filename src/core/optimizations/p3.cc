@@ -13,6 +13,17 @@ namespace daydream {
 
 namespace {
 
+// Iteration boundaries: the per-iteration cudaDeviceSynchronize tasks, in
+// time order.
+std::vector<TaskId> IterationBoundaries(const DependencyGraph& graph) {
+  std::vector<TaskId> boundaries =
+      graph.Select(All(ApiIs(ApiKind::kDeviceSynchronize), NameContains("iter_end")));
+  std::sort(boundaries.begin(), boundaries.end(), [&](TaskId a, TaskId b) {
+    return graph.task(a).start < graph.task(b).start;
+  });
+  return boundaries;
+}
+
 TimeNs SliceWireTime(int64_t bytes, const PsWhatIf& options) {
   const double bytes_per_ns = options.network.nic_bytes_per_ns() * options.bandwidth_share;
   return static_cast<TimeNs>(static_cast<double>(bytes) / bytes_per_ns) +
@@ -83,13 +94,7 @@ void WhatIfP3(DependencyGraph* graph, const ModelGraph& model, const PsWhatIf& o
 TimeNs PredictPsIterationTime(const Daydream& daydream, const ModelGraph& model,
                               const PsWhatIf& options) {
   DependencyGraph graph = daydream.CloneGraph();
-
-  // Iteration boundaries: the per-iteration cudaDeviceSynchronize tasks.
-  std::vector<TaskId> boundaries =
-      graph.Select(All(ApiIs(ApiKind::kDeviceSynchronize), NameContains("iter_end")));
-  std::sort(boundaries.begin(), boundaries.end(), [&](TaskId a, TaskId b) {
-    return graph.task(a).start < graph.task(b).start;
-  });
+  const std::vector<TaskId> boundaries = IterationBoundaries(graph);
   DD_CHECK_EQ(boundaries.size(), 2u) << "PS prediction requires a 2-iteration profile";
 
   WhatIfP3(&graph, model, options);
@@ -103,6 +108,14 @@ TimeNs PredictPsIterationTime(const Daydream& daydream, const ModelGraph& model,
   const SimResult sim = Simulator(scheduler).Run(graph);
   // Steady-state period: distance between the two end-of-iteration syncs.
   return sim.EndOf(boundaries[1]) - sim.EndOf(boundaries[0]);
+}
+
+bool CheckPsProfile(const Daydream& daydream, std::string* error) {
+  if (IterationBoundaries(daydream.graph()).size() == 2) {
+    return true;
+  }
+  *error = "p3 needs a 2-iteration trace (re-run `daydream collect --iterations 2`)";
+  return false;
 }
 
 }  // namespace daydream

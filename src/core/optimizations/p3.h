@@ -13,6 +13,8 @@
 #ifndef SRC_CORE_OPTIMIZATIONS_P3_H_
 #define SRC_CORE_OPTIMIZATIONS_P3_H_
 
+#include <string>
+
 #include "src/comm/network_spec.h"
 #include "src/comm/param_server.h"
 #include "src/core/dependency_graph.h"
@@ -43,8 +45,15 @@ void WhatIfP3(DependencyGraph* graph, const ModelGraph& model, const PsWhatIf& o
 // End-to-end helper: applies WhatIfP3 to the Daydream instance's 2-iteration
 // graph, simulates with the priority scheduler and returns the predicted
 // steady-state iteration time (span between the two end-of-iteration syncs).
+// DD_CHECKs that the profile has two iterations; callers that must refuse
+// instead of aborting check CheckPsProfile first.
 TimeNs PredictPsIterationTime(const Daydream& daydream, const ModelGraph& model,
                               const PsWhatIf& options);
+
+// True when `daydream` holds the 2-iteration profile PredictPsIterationTime
+// needs. Otherwise sets *error to the refusal the CLI and the serve daemon
+// both report.
+bool CheckPsProfile(const Daydream& daydream, std::string* error);
 
 }  // namespace daydream
 

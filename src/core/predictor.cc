@@ -23,6 +23,8 @@ double PredictionResult::SpeedupRatio() const {
 
 Daydream::Daydream(Trace trace, GraphBuildOptions options)
     : trace_(std::move(trace)), graph_(BuildDependencyGraph(trace_, options)) {
+  std::string error;
+  DD_CHECK(graph_.Validate(&error)) << "invalid dependency graph: " << error;
   InitBaseline();
 }
 
@@ -32,8 +34,6 @@ Daydream::Daydream(Trace trace, DependencyGraph graph)
 }
 
 void Daydream::InitBaseline() {
-  std::string error;
-  DD_CHECK(graph_.Validate(&error)) << "invalid dependency graph: " << error;
   // Build the select indexes once on the baseline graph ("profile once"):
   // every per-case clone starts with warm indexes.
   graph_.EnsureSelectIndexes();

@@ -32,10 +32,11 @@ class Daydream {
  public:
   explicit Daydream(Trace trace, GraphBuildOptions options = GraphBuildOptions{});
 
-  // Adopts a dependency graph that was already built (and verified) for
-  // `trace` — the service layer builds the graph first so it can refuse a
-  // malformed trace with a lint report instead of aborting mid-construction,
-  // then hands the verified graph over without paying a second build.
+  // Adopts a dependency graph that was already built for `trace` and passed
+  // GraphLint::LintStructure — the service layer builds and lints the graph
+  // first so it can refuse a malformed trace with a lint report instead of
+  // aborting mid-construction, then hands the verified graph over without
+  // paying a second build or a second lint.
   Daydream(Trace trace, DependencyGraph graph);
 
   const Trace& trace() const { return trace_; }
@@ -68,8 +69,8 @@ class Daydream {
                             EngineKind engine = EngineKind::kEvent) const;
 
  private:
-  // Shared tail of both constructors: validate, warm the select indexes,
-  // compile + run the baseline plan.
+  // Shared tail of both constructors: warm the select indexes, compile +
+  // run the baseline plan.
   void InitBaseline();
 
   Trace trace_;

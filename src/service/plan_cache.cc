@@ -65,6 +65,7 @@ void PlanCache::EraseMatching(const std::function<bool(const Key&)>& predicate) 
     if (predicate(it->first)) {
       index_.erase(it->first);
       it = lru_.erase(it);
+      ++stats_.evictions;
     } else {
       ++it;
     }

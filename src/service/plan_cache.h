@@ -35,7 +35,7 @@ namespace daydream {
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t evictions = 0;
+  uint64_t evictions = 0;  // dropped past capacity or by EraseStamp/Erase
   // How the misses were filled: Retime over a donor structure block
   // (timing-only what-ifs) vs a full CSR compile.
   uint64_t retimes = 0;
@@ -63,7 +63,9 @@ class PlanCache {
 
   // Invalidation hooks. EraseStamp drops every plan compiled from a given
   // structure (the after-structural-mutation hook); Erase drops one
-  // signature's plans across schedulers (transform-cache eviction).
+  // signature's plans across schedulers (transform-cache eviction). Every
+  // plan either drops counts as an eviction, like one pushed out past
+  // capacity.
   void EraseStamp(uint64_t stamp);
   void Erase(uint64_t stamp, const std::string& signature);
   void Clear();

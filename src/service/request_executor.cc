@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/core/optimizations/p3.h"
-#include "src/core/transform.h"
 #include "src/models/model_zoo.h"
 #include "src/service/version.h"
 #include "src/trace/chrome_trace.h"
@@ -435,15 +434,8 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
       }
       // PredictPsIterationTime aborts on anything but a 2-iteration profile;
       // the daemon must refuse with an envelope instead.
-      const size_t boundaries =
-          session->daydream()
-              .graph()
-              .Select(All(ApiIs(ApiKind::kDeviceSynchronize), NameContains("iter_end")))
-              .size();
-      if (boundaries != 2) {
-        response.line = ErrorResponse(
-            id, "bad_request",
-            "p3 needs a 2-iteration trace (re-run `daydream collect --iterations 2`)");
+      if (!CheckPsProfile(session->daydream(), &error)) {
+        response.line = ErrorResponse(id, "bad_request", error);
         return response;
       }
       PsWhatIf opts;

@@ -69,8 +69,10 @@ std::shared_ptr<TraceSession> TraceSession::Create(Trace trace, SessionOptions o
     return nullptr;
   }
   DependencyGraph graph = BuildDependencyGraph(trace);
-  // Refuse here, with the lint report, rather than letting the Daydream
-  // constructor DD_CHECK-abort the process on a malformed graph.
+  // Refuse here, with the lint report, rather than letting a later stage
+  // DD_CHECK-abort the process on a malformed graph. This is the only
+  // structural lint of the baseline: the adopting Daydream constructor
+  // trusts it.
   const LintReport report = GraphLint::LintStructure(graph);
   if (!report.ok()) {
     if (error != nullptr) {
@@ -85,7 +87,6 @@ std::shared_ptr<TraceSession> TraceSession::Create(Trace trace, SessionOptions o
 TraceSession::TraceSession(Trace trace, DependencyGraph graph, SessionOptions options)
     : options_(options),
       daydream_(std::move(trace), std::move(graph)),
-      layer_map_(LayerMap::Compute(daydream_.trace())),
       model_id_(LookupModel(daydream_.trace().model_name())),
       plan_cache_(options.plan_cache_capacity) {
   if (model_id_.has_value()) {

@@ -3,7 +3,7 @@
 //
 // Every `daydream` CLI invocation used to re-read the trace, rebuild the
 // dependency graph and recompile SimPlans from scratch. A TraceSession does
-// that work exactly once — trace, built graph, layer map, baseline plan and
+// that work exactly once — trace, built and linted graph, baseline plan and
 // baseline simulation — and then answers an arbitrary number of
 // predict/sweep/lint queries against it:
 //
@@ -35,7 +35,6 @@
 
 #include "src/comm/network_spec.h"
 #include "src/core/graph_lint.h"
-#include "src/core/layer_map.h"
 #include "src/core/optimizations/pipeline_transform.h"
 #include "src/core/predictor.h"
 #include "src/models/model_zoo.h"
@@ -101,7 +100,6 @@ class TraceSession {
 
   const Trace& trace() const { return daydream_.trace(); }
   const Daydream& daydream() const { return daydream_; }
-  const LayerMap& layer_map() const { return layer_map_; }
   std::optional<ModelId> model_id() const { return model_id_; }
 
   // Resolves request.what_if to a graph transform (p3 is not a graph
@@ -162,7 +160,6 @@ class TraceSession {
 
   const SessionOptions options_;
   Daydream daydream_;
-  LayerMap layer_map_;
   std::optional<ModelId> model_id_;
   // Layer-structured what-ifs need the model graph; built once, shared by
   // every resolved transform (read-only, as in BuildStandardSweep).

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <limits>
+#include <string_view>
 
 #include "src/util/json_stream.h"
 #include "src/util/string_util.h"
@@ -13,7 +14,7 @@ namespace {
 using Token = JsonStreamTokenizer::Token;
 using TokenKind = JsonStreamTokenizer::TokenKind;
 
-std::optional<EventKind> KindFromCat(const std::string& cat) {
+std::optional<EventKind> KindFromCat(std::string_view cat) {
   for (const EventKind kind : {EventKind::kRuntimeApi, EventKind::kKernel, EventKind::kMemcpy,
                                EventKind::kLayerMarker, EventKind::kDataLoad,
                                EventKind::kCommunication}) {
@@ -24,7 +25,7 @@ std::optional<EventKind> KindFromCat(const std::string& cat) {
   return std::nullopt;
 }
 
-std::optional<ApiKind> ApiFromArg(const std::string& name) {
+std::optional<ApiKind> ApiFromArg(std::string_view name) {
   for (const ApiKind kind :
        {ApiKind::kNone, ApiKind::kLaunchKernel, ApiKind::kMemcpyAsync, ApiKind::kMemcpySync,
         ApiKind::kDeviceSynchronize, ApiKind::kStreamSynchronize, ApiKind::kEventRecord,
@@ -36,7 +37,7 @@ std::optional<ApiKind> ApiFromArg(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<MemcpyKind> CopyFromArg(const std::string& name) {
+std::optional<MemcpyKind> CopyFromArg(std::string_view name) {
   for (const MemcpyKind kind : {MemcpyKind::kHostToDevice, MemcpyKind::kDeviceToHost,
                                 MemcpyKind::kDeviceToDevice}) {
     if (name == ToString(kind)) {
@@ -46,7 +47,7 @@ std::optional<MemcpyKind> CopyFromArg(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<CommKind> CommFromArg(const std::string& name) {
+std::optional<CommKind> CommFromArg(std::string_view name) {
   for (const CommKind kind : {CommKind::kAllReduce, CommKind::kReduceScatter, CommKind::kAllGather,
                               CommKind::kPush, CommKind::kPull, CommKind::kP2p}) {
     if (name == ToString(kind)) {
@@ -56,7 +57,7 @@ std::optional<CommKind> CommFromArg(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<Phase> PhaseFromArg(const std::string& name) {
+std::optional<Phase> PhaseFromArg(std::string_view name) {
   for (const Phase phase : {Phase::kUnknown, Phase::kDataLoad, Phase::kForward, Phase::kBackward,
                             Phase::kWeightUpdate}) {
     if (name == ToString(phase)) {
@@ -66,37 +67,124 @@ std::optional<Phase> PhaseFromArg(const std::string& name) {
   return std::nullopt;
 }
 
+enum class RowType : uint8_t { kMetadata, kComplete, kInstant };
+
+std::optional<RowType> RowTypeFromPh(std::string_view ph) {
+  if (ph == "M") {
+    return RowType::kMetadata;
+  }
+  if (ph == "X") {
+    return RowType::kComplete;
+  }
+  if (ph == "i") {
+    return RowType::kInstant;
+  }
+  return std::nullopt;
+}
+
+// The members a row or its args object may carry. A key is classified by its
+// length and one byte, then confirmed with a single compare against its name.
+enum class RowKey : uint8_t { kOther, kPh, kName, kCat, kS, kTid, kTs, kDur, kPid, kArgs };
+constexpr std::string_view kRowKeyNames[] = {"",    "ph", "name", "cat", "s",
+                                             "tid", "ts", "dur",  "pid", "args"};
+
+RowKey RowKeyOf(std::string_view key) {
+  RowKey guess = RowKey::kOther;
+  switch (key.size()) {
+    case 1:
+      guess = RowKey::kS;
+      break;
+    case 2:
+      guess = key[0] == 'p' ? RowKey::kPh : RowKey::kTs;
+      break;
+    case 3:
+      guess = key[0] == 't'   ? RowKey::kTid
+              : key[0] == 'd' ? RowKey::kDur
+              : key[0] == 'c' ? RowKey::kCat
+                              : RowKey::kPid;
+      break;
+    case 4:
+      guess = key[0] == 'n' ? RowKey::kName : RowKey::kArgs;
+      break;
+  }
+  return key == kRowKeyNames[static_cast<size_t>(guess)] ? guess : RowKey::kOther;
+}
+
+enum class ArgKey : uint8_t {
+  kOther, kLayer, kPhase, kCorr, kBytes, kApi, kCopy, kComm, kStream, kModel, kConfig, kBucket
+};
+constexpr std::string_view kArgKeyNames[] = {"",    "layer", "phase",  "corr",  "bytes",  "api",
+                                             "copy", "comm", "stream", "model", "config", "bucket"};
+
+ArgKey ArgKeyOf(std::string_view key) {
+  ArgKey guess = ArgKey::kOther;
+  switch (key.size()) {
+    case 3:
+      guess = ArgKey::kApi;
+      break;
+    case 4:
+      guess = key[2] == 'r' ? ArgKey::kCorr : key[2] == 'p' ? ArgKey::kCopy : ArgKey::kComm;
+      break;
+    case 5:
+      guess = key[0] == 'l'   ? ArgKey::kLayer
+              : key[0] == 'p' ? ArgKey::kPhase
+              : key[0] == 'b' ? ArgKey::kBytes
+                              : ArgKey::kModel;
+      break;
+    case 6:
+      guess = key[0] == 's' ? ArgKey::kStream : key[0] == 'c' ? ArgKey::kConfig : ArgKey::kBucket;
+      break;
+  }
+  return key == kArgKeyNames[static_cast<size_t>(guess)] ? guess : ArgKey::kOther;
+}
+
+// A string member that names an enum value, decoded as it arrives. The raw
+// text is kept only when it names no value, for the error the row raises
+// once it closes.
+template <typename E>
+struct NamedValue {
+  bool present = false;
+  std::optional<E> value;
+  std::string unknown;
+
+  void Decode(std::string_view text, std::optional<E> (*parse)(std::string_view)) {
+    present = true;
+    value = parse(text);
+    if (!value.has_value()) {
+      unknown.assign(text);
+    }
+  }
+};
+
 // Everything one trace-event object can carry; filled key by key, validated
 // whole once the object closes (key order in the file does not matter).
-struct RowFields {
-  std::string ph;
-  std::string name;
-  std::string cat;
-  bool has_tid = false;
-  int64_t tid = 0;
-  bool has_ts = false;
-  int64_t ts_ns = 0;
-  bool has_dur = false;
-  int64_t dur_ns = 0;
-  // args members
-  bool has_layer = false;
-  int64_t layer = 0;
-  bool has_phase = false;
-  std::string phase;
-  bool has_corr = false;
-  int64_t corr = 0;
-  bool has_bytes = false;
-  int64_t bytes = 0;
-  std::string api;
-  std::string copy;
-  std::string comm;
-  bool has_stream = false;
-  int64_t stream = 0;
+struct Row {
+  NamedValue<RowType> ph;
+  std::string name;  // moved into the TraceEvent
+  NamedValue<EventKind> cat;
+  std::optional<int64_t> tid;
+  std::optional<int64_t> ts_ns;
+  std::optional<int64_t> dur_ns;
+  // args members. An empty api/copy/comm string counts as absent.
+  std::optional<int64_t> layer;
+  NamedValue<Phase> phase;
+  std::optional<int64_t> corr;
+  std::optional<int64_t> bytes;
+  NamedValue<ApiKind> api;
+  NamedValue<MemcpyKind> copy;
+  NamedValue<CommKind> comm;
+  std::optional<int64_t> stream;
+  std::optional<int64_t> bucket;
   std::string model;
   std::string config;
-  bool has_bucket = false;
-  int64_t bucket = 0;
 };
+
+std::string Quoted(std::string_view text) {
+  std::string out = "\"";
+  out.append(text);
+  out += '"';
+  return out;
+}
 
 bool IsScalar(TokenKind kind) {
   return kind == TokenKind::kString || kind == TokenKind::kNumber || kind == TokenKind::kBool ||
@@ -139,8 +227,18 @@ class ChromeImporter {
     return ExpectNext(TokenKind::kEnd, "trailing content after the trace array");
   }
 
+  // The name of a key for error messages: known keys from the table, any
+  // other key from a copy taken before its value overwrote the token.
+  std::string_view KeyName(std::string_view known, const Token& t) {
+    if (!known.empty()) {
+      return known;
+    }
+    other_key_.assign(t.text);
+    return other_key_;
+  }
+
   bool ParseRow() {
-    RowFields f;
+    Row row;
     while (true) {
       const Token& t = tok_.Next();
       if (t.kind == TokenKind::kEndObject) {
@@ -149,28 +247,29 @@ class ChromeImporter {
       if (t.kind != TokenKind::kKey) {
         return FailToken(t, "expected a member key");
       }
-      const std::string key = t.text;
+      const RowKey key = RowKeyOf(t.text);
+      const std::string_view name = KeyName(kRowKeyNames[static_cast<size_t>(key)], t);
       const Token& v = tok_.Next();
       if (v.kind == TokenKind::kBeginObject) {
-        if (key != "args") {
-          return Fail("unexpected object value for \"" + key + "\"");
+        if (key != RowKey::kArgs) {
+          return Fail("unexpected object value for " + Quoted(name));
         }
-        if (!ParseArgs(&f)) {
+        if (!ParseArgs(&row)) {
           return false;
         }
         continue;
       }
       if (!IsScalar(v.kind)) {
-        return FailToken(v, "expected a scalar value for \"" + key + "\"");
+        return FailToken(v, "expected a scalar value for " + Quoted(name));
       }
-      if (!SetRowField(&f, key, v)) {
+      if (!SetRowMember(&row, key, name, v)) {
         return false;
       }
     }
-    return FinishRow(f);
+    return FinishRow(&row);
   }
 
-  bool ParseArgs(RowFields* f) {
+  bool ParseArgs(Row* row) {
     while (true) {
       const Token& t = tok_.Next();
       if (t.kind == TokenKind::kEndObject) {
@@ -179,152 +278,168 @@ class ChromeImporter {
       if (t.kind != TokenKind::kKey) {
         return FailToken(t, "expected an args key");
       }
-      const std::string key = t.text;
+      const ArgKey key = ArgKeyOf(t.text);
+      const std::string_view name = KeyName(kArgKeyNames[static_cast<size_t>(key)], t);
       const Token& v = tok_.Next();
       if (!IsScalar(v.kind)) {
-        return FailToken(v, "args values must be scalars (got a container for \"" + key + "\")");
+        return FailToken(v, "args values must be scalars (got a container for " +
+                                Quoted(name) + ")");
       }
-      if (!SetArgField(f, key, v)) {
+      if (!SetArgMember(row, key, name, v)) {
         return false;
       }
     }
   }
 
-  bool SetRowField(RowFields* f, const std::string& key, const Token& v) {
-    if (key == "ph" || key == "name" || key == "cat" || key == "s") {
-      if (v.kind != TokenKind::kString) {
-        return Fail("\"" + key + "\" must be a string");
+  bool SetRowMember(Row* row, RowKey key, std::string_view name, const Token& v) {
+    switch (key) {
+      case RowKey::kPh:
+      case RowKey::kName:
+      case RowKey::kCat:
+      case RowKey::kS:
+        if (v.kind != TokenKind::kString) {
+          return Fail(Quoted(name) + " must be a string");
+        }
+        if (key == RowKey::kPh) {
+          row->ph.Decode(v.text, RowTypeFromPh);
+        } else if (key == RowKey::kName) {
+          row->name = v.text;
+        } else if (key == RowKey::kCat) {
+          row->cat.Decode(v.text, KindFromCat);
+        }
+        return true;
+      case RowKey::kTid:
+        return ReadInt(v, name, &row->tid);
+      case RowKey::kTs:
+        return ReadUs(v, name, &row->ts_ns);
+      case RowKey::kDur:
+        return ReadUs(v, name, &row->dur_ns);
+      case RowKey::kPid: {
+        std::optional<int64_t> ignored;
+        return ReadInt(v, name, &ignored);
       }
-      if (key == "ph") {
-        f->ph = v.text;
-      } else if (key == "name") {
-        f->name = v.text;
-      } else if (key == "cat") {
-        f->cat = v.text;
-      }
-      return true;
-    }
-    if (key == "tid") {
-      return ReadInt(v, key, &f->tid, &f->has_tid);
-    }
-    if (key == "ts") {
-      return ReadUs(v, key, &f->ts_ns, &f->has_ts);
-    }
-    if (key == "dur") {
-      return ReadUs(v, key, &f->dur_ns, &f->has_dur);
-    }
-    if (key == "pid") {
-      int64_t ignored = 0;
-      bool has = false;
-      return ReadInt(v, key, &ignored, &has);
+      case RowKey::kArgs:
+      case RowKey::kOther:
+        break;
     }
     return true;  // unknown scalar members are ignored (foreign tools add them)
   }
 
-  bool SetArgField(RowFields* f, const std::string& key, const Token& v) {
-    if (key == "layer") {
-      return ReadInt(v, key, &f->layer, &f->has_layer);
-    }
-    if (key == "corr") {
-      return ReadInt(v, key, &f->corr, &f->has_corr);
-    }
-    if (key == "bytes") {
-      return ReadInt(v, key, &f->bytes, &f->has_bytes);
-    }
-    if (key == "stream") {
-      return ReadInt(v, key, &f->stream, &f->has_stream);
-    }
-    if (key == "bucket") {
-      return ReadInt(v, key, &f->bucket, &f->has_bucket);
-    }
-    if (key == "phase" || key == "api" || key == "copy" || key == "comm" || key == "model" ||
-        key == "config") {
-      if (v.kind != TokenKind::kString) {
-        return Fail("args." + key + " must be a string");
-      }
-      if (key == "phase") {
-        f->phase = v.text;
-        f->has_phase = true;
-      } else if (key == "api") {
-        f->api = v.text;
-      } else if (key == "copy") {
-        f->copy = v.text;
-      } else if (key == "comm") {
-        f->comm = v.text;
-      } else if (key == "model") {
-        f->model = v.text;
-      } else {
-        f->config = v.text;
-      }
-      return true;
+  bool SetArgMember(Row* row, ArgKey key, std::string_view name, const Token& v) {
+    switch (key) {
+      case ArgKey::kLayer:
+        return ReadInt(v, name, &row->layer);
+      case ArgKey::kCorr:
+        return ReadInt(v, name, &row->corr);
+      case ArgKey::kBytes:
+        return ReadInt(v, name, &row->bytes);
+      case ArgKey::kStream:
+        return ReadInt(v, name, &row->stream);
+      case ArgKey::kBucket:
+        return ReadInt(v, name, &row->bucket);
+      case ArgKey::kPhase:
+      case ArgKey::kApi:
+      case ArgKey::kCopy:
+      case ArgKey::kComm:
+      case ArgKey::kModel:
+      case ArgKey::kConfig:
+        if (v.kind != TokenKind::kString) {
+          return Fail("args." + std::string(name) + " must be a string");
+        }
+        if (key == ArgKey::kPhase) {
+          row->phase.Decode(v.text, PhaseFromArg);
+        } else if (key == ArgKey::kApi) {
+          DecodeUnlessEmpty(v.text, ApiFromArg, &row->api);
+        } else if (key == ArgKey::kCopy) {
+          DecodeUnlessEmpty(v.text, CopyFromArg, &row->copy);
+        } else if (key == ArgKey::kComm) {
+          DecodeUnlessEmpty(v.text, CommFromArg, &row->comm);
+        } else if (key == ArgKey::kModel) {
+          row->model = v.text;
+        } else {
+          row->config = v.text;
+        }
+        return true;
+      case ArgKey::kOther:
+        break;
     }
     return true;  // e.g. thread_name's args.name
   }
 
-  bool ReadInt(const Token& v, const std::string& key, int64_t* out, bool* has) {
+  template <typename E>
+  static void DecodeUnlessEmpty(std::string_view text, std::optional<E> (*parse)(std::string_view),
+                                NamedValue<E>* out) {
+    if (text.empty()) {
+      *out = NamedValue<E>();
+    } else {
+      out->Decode(text, parse);
+    }
+  }
+
+  bool ReadInt(const Token& v, std::string_view key, std::optional<int64_t>* out) {
     if (v.kind != TokenKind::kNumber) {
-      return Fail("\"" + key + "\" must be a number");
+      return Fail(Quoted(key) + " must be a number");
     }
-    const std::optional<int64_t> parsed = ParseInt64(v.text);
-    if (!parsed.has_value()) {
-      return Fail("\"" + key + "\" must be an integer (got \"" + v.text + "\")");
+    *out = ParseInt64(v.text);
+    if (!out->has_value()) {
+      return Fail(Quoted(key) + " must be an integer (got " + Quoted(v.text) + ")");
     }
-    *out = *parsed;
-    *has = true;
     return true;
   }
 
-  bool ReadUs(const Token& v, const std::string& key, int64_t* out, bool* has) {
+  bool ReadUs(const Token& v, std::string_view key, std::optional<int64_t>* out) {
     if (v.kind != TokenKind::kNumber) {
-      return Fail("\"" + key + "\" must be a number");
+      return Fail(Quoted(key) + " must be a number");
     }
-    const std::optional<int64_t> ns = ParseDecimalUsToNs(v.text);
-    if (!ns.has_value()) {
-      return Fail("\"" + key + "\" is not exactly representable in ns (got \"" + v.text + "\")");
+    *out = ParseDecimalUsToNs(v.text);
+    if (!out->has_value()) {
+      return Fail(Quoted(key) + " is not exactly representable in ns (got " + Quoted(v.text) +
+                  ")");
     }
-    *out = *ns;
-    *has = true;
     return true;
   }
 
-  bool FinishRow(const RowFields& f) {
-    if (f.ph == "M") {
-      return FinishMetadata(f);
+  bool FinishRow(Row* row) {
+    if (!row->ph.value.has_value()) {
+      if (row->ph.unknown.empty()) {
+        return Fail("row is missing \"ph\"");
+      }
+      return Fail("unsupported ph \"" + row->ph.unknown + "\"");
     }
-    if (f.ph == "X") {
-      return FinishComplete(f);
+    switch (*row->ph.value) {
+      case RowType::kMetadata:
+        return FinishMetadata(*row);
+      case RowType::kComplete:
+        return FinishComplete(row);
+      case RowType::kInstant:
+        return FinishInstant(row);
     }
-    if (f.ph == "i") {
-      return FinishInstant(f);
-    }
-    if (f.ph.empty()) {
-      return Fail("row is missing \"ph\"");
-    }
-    return Fail("unsupported ph \"" + f.ph + "\"");
+    return false;
   }
 
-  bool FinishMetadata(const RowFields& f) {
-    if (f.name == "daydream_trace") {
-      trace_.set_model_name(f.model);
-      trace_.set_config(f.config);
+  bool FinishMetadata(const Row& row) {
+    if (row.name == "daydream_trace") {
+      trace_.set_model_name(row.model);
+      trace_.set_config(row.config);
       return true;
     }
-    if (f.name == "daydream_gradient") {
-      if (!f.has_layer || !f.has_bytes || !f.has_bucket) {
+    if (row.name == "daydream_gradient") {
+      if (!row.layer || !row.bytes || !row.bucket) {
         return Fail("daydream_gradient needs args layer/bytes/bucket");
       }
-      if (f.bytes < 0) {
+      if (*row.bytes < 0) {
         return Fail("negative gradient bytes");
       }
-      if (f.layer < std::numeric_limits<int>::min() || f.layer > std::numeric_limits<int>::max() ||
-          f.bucket < std::numeric_limits<int>::min() ||
-          f.bucket > std::numeric_limits<int>::max()) {
+      if (*row.layer < std::numeric_limits<int>::min() ||
+          *row.layer > std::numeric_limits<int>::max() ||
+          *row.bucket < std::numeric_limits<int>::min() ||
+          *row.bucket > std::numeric_limits<int>::max()) {
         return Fail("gradient layer/bucket out of range");
       }
       GradientInfo g;
-      g.layer_id = static_cast<int>(f.layer);
-      g.bytes = f.bytes;
-      g.bucket_id = static_cast<int>(f.bucket);
+      g.layer_id = static_cast<int>(*row.layer);
+      g.bytes = *row.bytes;
+      g.bucket_id = static_cast<int>(*row.bucket);
       trace_.AddGradientInfo(g);
       ++stats_->gradients;
       return true;
@@ -333,117 +448,112 @@ class ChromeImporter {
     return true;
   }
 
-  bool FinishComplete(const RowFields& f) {
-    const std::optional<EventKind> kind = KindFromCat(f.cat);
-    if (!kind.has_value()) {
-      return Fail("unknown cat \"" + f.cat + "\"");
+  bool FinishComplete(Row* row) {
+    if (!row->cat.value.has_value()) {
+      return Fail("unknown cat \"" + row->cat.unknown + "\"");
     }
-    if (*kind == EventKind::kLayerMarker) {
+    if (*row->cat.value == EventKind::kLayerMarker) {
       return Fail("layer markers are ph:\"i\" rows, not X");
     }
-    if (!f.has_tid || !f.has_ts || !f.has_dur) {
+    if (!row->tid || !row->ts_ns || !row->dur_ns) {
       return Fail("X row needs tid/ts/dur");
     }
     TraceEvent e;
-    e.kind = *kind;
-    e.name = f.name;
-    if (f.ts_ns < 0 || f.dur_ns < 0) {
+    e.kind = *row->cat.value;
+    if (*row->ts_ns < 0 || *row->dur_ns < 0) {
       return Fail("negative ts/dur");
     }
-    e.start = f.ts_ns;
-    e.duration = f.dur_ns;
-    if (!DecodeLane(f.tid, &e)) {
+    e.start = *row->ts_ns;
+    e.duration = *row->dur_ns;
+    if (!DecodeLane(*row->tid, &e)) {
       return false;
     }
-    if (f.has_layer) {
-      if (f.layer < -1 || f.layer > std::numeric_limits<int>::max()) {
+    if (row->layer) {
+      if (*row->layer < -1 || *row->layer > std::numeric_limits<int>::max()) {
         return Fail("bad args.layer");
       }
-      e.layer_id = static_cast<int>(f.layer);
+      e.layer_id = static_cast<int>(*row->layer);
     }
-    if (f.has_phase) {
-      const std::optional<Phase> phase = PhaseFromArg(f.phase);
-      if (!phase.has_value()) {
-        return Fail("unknown args.phase \"" + f.phase + "\"");
+    if (row->phase.present) {
+      if (!row->phase.value.has_value()) {
+        return Fail("unknown args.phase \"" + row->phase.unknown + "\"");
       }
-      e.phase = *phase;
+      e.phase = *row->phase.value;
     }
-    if (f.has_corr) {
-      if (f.corr < 0) {
+    if (row->corr) {
+      if (*row->corr < 0) {
         return Fail("negative args.corr");
       }
-      e.correlation_id = f.corr;
+      e.correlation_id = *row->corr;
     }
-    if (f.has_bytes) {
-      if (f.bytes < 0) {
+    if (row->bytes) {
+      if (*row->bytes < 0) {
         return Fail("negative args.bytes");
       }
-      e.bytes = f.bytes;
+      e.bytes = *row->bytes;
     }
-    if (!f.api.empty()) {
+    if (row->api.present) {
       if (e.kind != EventKind::kRuntimeApi) {
         return Fail("args.api on a non-RuntimeApi row");
       }
-      const std::optional<ApiKind> api = ApiFromArg(f.api);
-      if (!api.has_value()) {
-        return Fail("unknown args.api \"" + f.api + "\"");
+      if (!row->api.value.has_value()) {
+        return Fail("unknown args.api \"" + row->api.unknown + "\"");
       }
-      e.api = *api;
+      e.api = *row->api.value;
     }
-    if (!f.copy.empty()) {
+    if (row->copy.present) {
       if (e.kind != EventKind::kMemcpy) {
         return Fail("args.copy on a non-Memcpy row");
       }
-      const std::optional<MemcpyKind> copy = CopyFromArg(f.copy);
-      if (!copy.has_value()) {
-        return Fail("unknown args.copy \"" + f.copy + "\"");
+      if (!row->copy.value.has_value()) {
+        return Fail("unknown args.copy \"" + row->copy.unknown + "\"");
       }
-      e.memcpy_kind = *copy;
+      e.memcpy_kind = *row->copy.value;
     }
-    if (!f.comm.empty()) {
+    if (row->comm.present) {
       if (e.kind != EventKind::kCommunication) {
         return Fail("args.comm on a non-Communication row");
       }
-      const std::optional<CommKind> comm = CommFromArg(f.comm);
-      if (!comm.has_value()) {
-        return Fail("unknown args.comm \"" + f.comm + "\"");
+      if (!row->comm.value.has_value()) {
+        return Fail("unknown args.comm \"" + row->comm.unknown + "\"");
       }
-      e.comm_kind = *comm;
+      e.comm_kind = *row->comm.value;
     }
-    if (f.has_stream) {
+    if (row->stream) {
       // Target stream of a CPU-side synchronization call (the exporter only
       // emits args.stream for CPU rows; GPU rows carry the stream in the tid).
       if (!e.is_cpu()) {
         return Fail("args.stream on a non-CPU row");
       }
-      if (f.stream < 0 || f.stream > std::numeric_limits<int>::max()) {
+      if (*row->stream < 0 || *row->stream > std::numeric_limits<int>::max()) {
         return Fail("bad args.stream");
       }
-      e.stream_id = static_cast<int>(f.stream);
+      e.stream_id = static_cast<int>(*row->stream);
     }
+    e.name = std::move(row->name);
     trace_.Add(std::move(e));
     ++stats_->events;
     return true;
   }
 
-  bool FinishInstant(const RowFields& f) {
-    if (!f.has_tid || !f.has_ts) {
+  bool FinishInstant(Row* row) {
+    if (!row->tid || !row->ts_ns) {
       return Fail("instant row needs tid/ts");
     }
     // "<name>/<phase>/<begin|end>"; the marker's own name may contain '/',
     // so the phase and edge are the LAST two segments.
-    const size_t edge_cut = f.name.rfind('/');
-    const size_t phase_cut = edge_cut == std::string::npos || edge_cut == 0
-                                 ? std::string::npos
-                                 : f.name.rfind('/', edge_cut - 1);
-    if (edge_cut == std::string::npos || phase_cut == std::string::npos) {
+    const std::string_view name = row->name;
+    const size_t edge_cut = name.rfind('/');
+    const size_t phase_cut = edge_cut == std::string_view::npos || edge_cut == 0
+                                 ? std::string_view::npos
+                                 : name.rfind('/', edge_cut - 1);
+    if (edge_cut == std::string_view::npos || phase_cut == std::string_view::npos) {
       return Fail("instant name must be \"<name>/<phase>/<begin|end>\"");
     }
-    const std::string edge = f.name.substr(edge_cut + 1);
-    const std::string phase_name = f.name.substr(phase_cut + 1, edge_cut - phase_cut - 1);
+    const std::string_view edge = name.substr(edge_cut + 1);
+    const std::string_view phase_name = name.substr(phase_cut + 1, edge_cut - phase_cut - 1);
     TraceEvent e;
     e.kind = EventKind::kLayerMarker;
-    e.name = f.name.substr(0, phase_cut);
     if (edge == "begin") {
       e.marker_begin = true;
     } else if (edge == "end") {
@@ -453,24 +563,26 @@ class ChromeImporter {
     }
     const std::optional<Phase> phase = PhaseFromArg(phase_name);
     if (!phase.has_value()) {
-      return Fail("unknown marker phase \"" + phase_name + "\"");
+      return Fail("unknown marker phase " + Quoted(phase_name));
     }
     e.phase = *phase;
-    if (f.ts_ns < 0) {
+    if (*row->ts_ns < 0) {
       return Fail("negative ts");
     }
-    e.start = f.ts_ns;
+    e.start = *row->ts_ns;
     e.duration = 0;
-    if (f.tid < 0 || f.tid >= 1000) {
+    if (*row->tid < 0 || *row->tid >= 1000) {
       return Fail("marker tid outside the CPU row band [0, 1000)");
     }
-    e.thread_id = static_cast<int>(f.tid);
-    if (f.has_layer) {
-      if (f.layer < -1 || f.layer > std::numeric_limits<int>::max()) {
+    e.thread_id = static_cast<int>(*row->tid);
+    if (row->layer) {
+      if (*row->layer < -1 || *row->layer > std::numeric_limits<int>::max()) {
         return Fail("bad args.layer");
       }
-      e.layer_id = static_cast<int>(f.layer);
+      e.layer_id = static_cast<int>(*row->layer);
     }
+    row->name.resize(phase_cut);
+    e.name = std::move(row->name);
     trace_.Add(std::move(e));
     ++stats_->events;
     return true;
@@ -520,6 +632,7 @@ class ChromeImporter {
   }
 
   JsonStreamTokenizer tok_;
+  std::string other_key_;  // text of the current unrecognized key
   ChromeImportStats* stats_;
   Trace trace_;
   std::string error_;

@@ -1,6 +1,5 @@
 #include "src/util/json_stream.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -8,30 +7,84 @@
 
 namespace daydream {
 
+namespace {
+
+bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
+bool IsNumberChar(char c) {
+  return (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E';
+}
+
+// True for "-?D+(.D+)?" of at most 308 characters: strtod always accepts
+// such a token whole and finite (10^308 < DBL_MAX), so the common integer and
+// plain-decimal tokens skip it.
+bool IsPlainDecimal(std::string_view text) {
+  if (text.size() > 308) {
+    return false;
+  }
+  size_t i = text.size() > 0 && text[0] == '-' ? 1 : 0;
+  const size_t int_start = i;
+  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
+    ++i;
+  }
+  if (i == int_start) {
+    return false;
+  }
+  if (i == text.size()) {
+    return true;
+  }
+  if (text[i] != '.') {
+    return false;
+  }
+  const size_t frac_start = ++i;
+  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
+    ++i;
+  }
+  return i > frac_start && i == text.size();
+}
+
+}  // namespace
+
 JsonStreamTokenizer::JsonStreamTokenizer(std::istream& in) : JsonStreamTokenizer(in, Limits()) {}
 
 JsonStreamTokenizer::JsonStreamTokenizer(std::istream& in, Limits limits)
-    : in_(in), limits_(limits) {}
+    : in_(in), limits_(limits), buf_(new char[kReadBufferBytes]) {}
+
+bool JsonStreamTokenizer::Refill() {
+  std::streambuf* sb = in_.rdbuf();
+  const std::streamsize got =
+      sb != nullptr ? sb->sgetn(buf_.get(), static_cast<std::streamsize>(kReadBufferBytes)) : 0;
+  buffer_offset_ += end_;
+  pos_ = 0;
+  end_ = got > 0 ? static_cast<size_t>(got) : 0;
+  return end_ > 0;
+}
 
 int JsonStreamTokenizer::GetChar() {
-  const int c = in_.rdbuf() != nullptr ? in_.rdbuf()->sbumpc() : -1;
-  if (c == std::char_traits<char>::eof()) {
+  if (!Fill()) {
     return -1;
   }
-  ++offset_;
-  return c;
+  return static_cast<unsigned char>(buf_[pos_++]);
 }
 
 int JsonStreamTokenizer::PeekChar() {
-  const int c = in_.rdbuf() != nullptr ? in_.rdbuf()->sgetc() : -1;
-  return c == std::char_traits<char>::eof() ? -1 : c;
+  return Fill() ? static_cast<unsigned char>(buf_[pos_]) : -1;
 }
 
 void JsonStreamTokenizer::SkipSpace() {
-  int c;
-  while ((c = PeekChar()) == ' ' || c == '\t' || c == '\n' || c == '\r') {
-    GetChar();
+  while (Fill() && IsSpace(buf_[pos_])) {
+    ++pos_;
   }
+}
+
+int JsonStreamTokenizer::GetNonSpace() {
+  while (Fill()) {
+    const char c = buf_[pos_++];
+    if (!IsSpace(c)) {
+      return static_cast<unsigned char>(c);
+    }
+  }
+  return -1;
 }
 
 void JsonStreamTokenizer::NoteBuffered(size_t bytes) {
@@ -48,41 +101,59 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Fail(const std::string& m
   return token_;
 }
 
-const JsonStreamTokenizer::Token& JsonStreamTokenizer::Emit(TokenKind kind, std::string text,
-                                                            bool boolean) {
-  NoteBuffered(text.size());
+const JsonStreamTokenizer::Token& JsonStreamTokenizer::Emit(TokenKind kind, bool boolean) {
+  NoteBuffered(token_.text.size());
   token_.kind = kind;
-  token_.text = std::move(text);
   token_.boolean = boolean;
   return token_;
 }
 
-// Decodes the remainder of a string after the opening '"'. Same escape rules
-// as the flat parser (src/util/json.cc); decoded size capped by the limits.
-bool JsonStreamTokenizer::LexString(std::string* out) {
+// Decodes the remainder of a string after the opening '"' into token_.text.
+// Same escape rules as the flat parser (src/util/json.cc); decoded size
+// capped by the limits. Runs of plain characters are copied out of the read
+// buffer in bulk.
+bool JsonStreamTokenizer::LexString() {
+  std::string* out = &token_.text;
   out->clear();
   while (true) {
-    const int raw = GetChar();
-    if (raw < 0) {
+    if (!Fill()) {
       Fail("unterminated string");
       return false;
     }
-    const unsigned char c = static_cast<unsigned char>(raw);
+    const char* run = buf_.get() + pos_;
+    const char* run_end = buf_.get() + end_;
+    const char* stop = run;
+    while (stop < run_end && *stop != '"' && *stop != '\\' &&
+           static_cast<unsigned char>(*stop) >= 0x20) {
+      ++stop;
+    }
+    const size_t length = static_cast<size_t>(stop - run);
+    const size_t room =
+        out->size() < limits_.max_string_bytes ? limits_.max_string_bytes - out->size() : 0;
+    if (length > room) {
+      // The first character past the limit is consumed, then rejected.
+      out->append(run, room);
+      pos_ += room + 1;
+      Fail("string exceeds the size limit");
+      return false;
+    }
+    out->append(run, length);
+    pos_ += length;
+    if (stop == run_end) {
+      continue;  // the run reached the end of the buffer
+    }
+    const int c = GetChar();
     if (c == '"') {
       NoteBuffered(out->size());
       return true;
     }
-    if (c < 0x20) {
+    if (c != '\\') {
       Fail("unescaped control character in string");
       return false;
     }
     if (out->size() >= limits_.max_string_bytes) {
       Fail("string exceeds the size limit");
       return false;
-    }
-    if (c != '\\') {
-      out->push_back(static_cast<char>(c));
-      continue;
     }
     const int esc = GetChar();
     switch (esc) {
@@ -132,17 +203,18 @@ bool JsonStreamTokenizer::LexString(std::string* out) {
   }
 }
 
-bool JsonStreamTokenizer::LexNumber(std::string* out, int first) {
-  out->clear();
-  out->push_back(static_cast<char>(first));
-  int c;
-  while ((c = PeekChar()) >= 0 &&
-         (std::isdigit(c) || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')) {
+bool JsonStreamTokenizer::LexNumber(char first) {
+  std::string* out = &token_.text;
+  out->assign(1, first);
+  while (Fill() && IsNumberChar(buf_[pos_])) {
     if (out->size() >= limits_.max_number_bytes) {
       Fail("number exceeds the size limit");
       return false;
     }
-    out->push_back(static_cast<char>(GetChar()));
+    out->push_back(buf_[pos_++]);
+  }
+  if (IsPlainDecimal(*out)) {
+    return true;
   }
   // Lexing is permissive; strtod over the whole token is the validator,
   // exactly as in the flat parser.
@@ -172,16 +244,14 @@ bool JsonStreamTokenizer::LexWord(std::string_view word, int first) {
 
 // Reads `"key":` and emits the kKey token. The caller consumed the quote.
 const JsonStreamTokenizer::Token& JsonStreamTokenizer::EmitKey() {
-  std::string key;
-  if (!LexString(&key)) {
+  if (!LexString()) {
     return token_;
   }
-  SkipSpace();
-  if (GetChar() != ':') {
-    return Fail("expected ':' after key '" + key + "'");
+  if (GetNonSpace() != ':') {
+    return Fail("expected ':' after key '" + token_.text + "'");
   }
   state_ = State::kValueStart;
-  return Emit(TokenKind::kKey, std::move(key));
+  return Emit(TokenKind::kKey);
 }
 
 const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
@@ -190,33 +260,35 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
   }
   switch (state_) {
     case State::kAfterValue: {
-      SkipSpace();
       if (stack_.empty()) {
+        SkipSpace();
         if (PeekChar() >= 0) {
           return Fail("trailing characters after the document");
         }
+        token_.text.clear();
         return Emit(TokenKind::kEnd);
       }
-      const int c = GetChar();
+      const int c = GetNonSpace();
       if (c < 0) {
         return Fail("unexpected end of input");
       }
       if (stack_.back() == Context::kObject) {
         if (c == '}') {
           stack_.pop_back();
+          token_.text.clear();
           return Emit(TokenKind::kEndObject);
         }
         if (c != ',') {
           return Fail("expected ',' or '}' in object");
         }
-        SkipSpace();
-        if (GetChar() != '"') {
+        if (GetNonSpace() != '"') {
           return Fail("expected a string key");
         }
         return EmitKey();
       }
       if (c == ']') {
         stack_.pop_back();
+        token_.text.clear();
         return Emit(TokenKind::kEndArray);
       }
       if (c != ',') {
@@ -225,11 +297,11 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
       break;  // fall through to the next array element
     }
     case State::kObjectFirst: {
-      SkipSpace();
-      const int c = GetChar();
+      const int c = GetNonSpace();
       if (c == '}') {
         stack_.pop_back();
         state_ = State::kAfterValue;
+        token_.text.clear();
         return Emit(TokenKind::kEndObject);
       }
       if (c != '"') {
@@ -243,6 +315,7 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
         GetChar();
         stack_.pop_back();
         state_ = State::kAfterValue;
+        token_.text.clear();
         return Emit(TokenKind::kEndArray);
       }
       break;  // fall through to the first array element
@@ -251,65 +324,50 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Next() {
   }
 
   // A value starts here.
-  SkipSpace();
-  const int c = GetChar();
+  const int c = GetNonSpace();
   if (c < 0) {
     return Fail("unexpected end of input");
   }
   switch (c) {
     case '{':
-      if (stack_.size() >= limits_.max_depth) {
-        return Fail("nesting exceeds the depth limit");
-      }
-      stack_.push_back(Context::kObject);
-      NoteBuffered(0);
-      state_ = State::kObjectFirst;
-      return Emit(TokenKind::kBeginObject);
     case '[':
       if (stack_.size() >= limits_.max_depth) {
         return Fail("nesting exceeds the depth limit");
       }
-      stack_.push_back(Context::kArray);
-      NoteBuffered(0);
-      state_ = State::kArrayFirst;
-      return Emit(TokenKind::kBeginArray);
-    case '"': {
-      std::string text;
-      if (!LexString(&text)) {
+      stack_.push_back(c == '{' ? Context::kObject : Context::kArray);
+      state_ = c == '{' ? State::kObjectFirst : State::kArrayFirst;
+      token_.text.clear();
+      return Emit(c == '{' ? TokenKind::kBeginObject : TokenKind::kBeginArray);
+    case '"':
+      if (!LexString()) {
         return token_;
       }
       state_ = State::kAfterValue;
-      return Emit(TokenKind::kString, std::move(text));
-    }
+      return Emit(TokenKind::kString);
     case 't':
-      if (!LexWord("true", c)) {
-        return token_;
-      }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kBool, "true", true);
     case 'f':
-      if (!LexWord("false", c)) {
+    case 'n': {
+      const std::string_view word = c == 't' ? "true" : c == 'f' ? "false" : "null";
+      if (!LexWord(word, c)) {
         return token_;
       }
       state_ = State::kAfterValue;
-      return Emit(TokenKind::kBool, "false", false);
-    case 'n':
-      if (!LexWord("null", c)) {
-        return token_;
+      if (c == 'n') {
+        token_.text.clear();
+        return Emit(TokenKind::kNull);
       }
-      state_ = State::kAfterValue;
-      return Emit(TokenKind::kNull);
-    default: {
-      if (c != '-' && !std::isdigit(c)) {
+      token_.text.assign(word);
+      return Emit(TokenKind::kBool, c == 't');
+    }
+    default:
+      if (c != '-' && (c < '0' || c > '9')) {
         return Fail("expected a value");
       }
-      std::string text;
-      if (!LexNumber(&text, c)) {
+      if (!LexNumber(static_cast<char>(c))) {
         return token_;
       }
       state_ = State::kAfterValue;
-      return Emit(TokenKind::kNumber, std::move(text));
-    }
+      return Emit(TokenKind::kNumber);
   }
 }
 

@@ -4,9 +4,11 @@
 // serve protocol's one-line requests; Chrome trace files are multi-megabyte
 // *nested* documents (an array of event objects, each with an `args` object)
 // that must not be materialized whole. This tokenizer pulls one token at a
-// time straight off a std::istream: the only buffered state is the current
-// token's text plus a depth stack, both hard-capped by Limits, so peak
-// resident memory is bounded no matter how large the file is.
+// time off a std::istream through a fixed read buffer (kReadBufferBytes,
+// refilled with sgetn). The only other state is the current token's text plus
+// a depth stack, both hard-capped by Limits, so peak resident memory is
+// bounded no matter how large the file is. The token's text storage is reused
+// from token to token, so a steady stream of tokens allocates nothing.
 //
 // Grammar checking is strict (commas, colons, nesting, one top-level value,
 // no trailing garbage); anything malformed — truncated input, bad escapes,
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -60,16 +63,23 @@ class JsonStreamTokenizer {
   JsonStreamTokenizer(std::istream& in, Limits limits);
 
   // Advances to and returns the next token. After kEnd or kError every
-  // further call returns the same token.
+  // further call returns the same token. The returned token (and its text)
+  // stays valid until the next call.
   const Token& Next();
   const Token& token() const { return token_; }
 
-  // Bytes consumed from the stream so far (error positions).
-  uint64_t offset() const { return offset_; }
+  // Bytes of the document consumed so far (error positions). The read buffer
+  // may hold bytes past this point; they do not count until lexed.
+  uint64_t offset() const { return buffer_offset_ + pos_; }
 
-  // High-water mark of the transient buffer (token text + depth stack), the
-  // quantity the bounded-memory tests assert on.
+  // High-water mark of the per-token state (token text + depth stack), the
+  // quantity the bounded-memory tests assert on. The fixed read buffer is
+  // not counted: its size never depends on the input.
   size_t max_buffered_bytes() const { return max_buffered_; }
+
+  // Size of the read buffer. A short read from the stream is not an end of
+  // input; only a read that returns nothing is.
+  static constexpr size_t kReadBufferBytes = 64 << 10;
 
  private:
   enum class Context : uint8_t { kObject, kArray };
@@ -81,14 +91,20 @@ class JsonStreamTokenizer {
   };
 
   const Token& Fail(const std::string& message);
-  const Token& Emit(TokenKind kind, std::string text = "", bool boolean = false);
+  // Publishes token_ as `kind`; the caller has already set token_.text.
+  const Token& Emit(TokenKind kind, bool boolean = false);
   const Token& EmitKey();  // after the key's opening quote was consumed
 
+  // Makes at least one unread byte available; false at end of input.
+  bool Fill() { return pos_ < end_ || Refill(); }
+  bool Refill();
   int GetChar();   // -1 on EOF
   int PeekChar();  // does not consume
   void SkipSpace();
-  bool LexString(std::string* out);  // after the opening quote was consumed
-  bool LexNumber(std::string* out, int first);
+  int GetNonSpace();  // SkipSpace, then GetChar
+  // Lex into token_.text, reusing its storage.
+  bool LexString();  // after the opening quote was consumed
+  bool LexNumber(char first);
   bool LexWord(std::string_view word, int first);
   void NoteBuffered(size_t bytes);
 
@@ -97,8 +113,11 @@ class JsonStreamTokenizer {
   Token token_;
   std::vector<Context> stack_;  // innermost last; empty once the value closed
   State state_ = State::kValueStart;
-  uint64_t offset_ = 0;
   size_t max_buffered_ = 0;
+  std::unique_ptr<char[]> buf_;  // kReadBufferBytes; unread bytes are [pos_, end_)
+  size_t pos_ = 0;
+  size_t end_ = 0;
+  uint64_t buffer_offset_ = 0;  // document offset of buf_[0]
 };
 
 // Exact Chrome-timestamp decode: microseconds written as a plain decimal

@@ -17,13 +17,17 @@
 // self-contained, so collection is deterministic) and rewrites the expected
 // JSON from the CLI's fresh output.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/core/optimizations/p3.h"
 #include "src/runtime/ground_truth.h"
 #include "src/trace/chrome_trace.h"
 #include "src/trace/trace_io.h"
@@ -53,14 +57,25 @@ std::string ReadFileOrDie(const std::string& path) {
   return ss.str();
 }
 
-// Runs the CLI, asserting exit code 0; returns stdout.
-std::string RunCli(const std::string& args) {
-  const std::string out_path = ::testing::TempDir() + "golden_cli_stdout.txt";
+// Runs the CLI; returns its exit code (-1 when a signal killed it) and puts
+// its stdout and stderr in *output.
+int RunCliExitCode(const std::string& args, std::string* output) {
+  // Per process: ctest runs each test in its own process, in parallel.
+  const std::string out_path =
+      ::testing::TempDir() + "golden_cli_stdout_" + std::to_string(::getpid()) + ".txt";
   const std::string command =
       std::string(DAYDREAM_CLI_PATH) + " " + args + " > " + out_path + " 2>&1";
   const int status = std::system(command.c_str());
-  EXPECT_EQ(status, 0) << command << "\n" << ReadFileOrDie(out_path);
-  return ReadFileOrDie(out_path);
+  *output = ReadFileOrDie(out_path);
+  std::remove(out_path.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// Runs the CLI, asserting exit code 0; returns stdout.
+std::string RunCli(const std::string& args) {
+  std::string output;
+  EXPECT_EQ(RunCliExitCode(args, &output), 0) << args << "\n" << output;
+  return output;
 }
 
 struct GoldenCase {
@@ -167,6 +182,29 @@ TEST(GoldenFixtures, SweepFixtureCoversPipelineAndClusterCases) {
   EXPECT_NE(sweep.find("distributed 2x2"), std::string::npos);
   EXPECT_NE(sweep.find("\"amp\""), std::string::npos);
   EXPECT_NE(sweep.find("\"baseline_ms\""), std::string::npos);
+}
+
+// `predict --what-if p3` needs a 2-iteration profile. On a 1-iteration trace
+// the CLI refuses with exit 2 and the message the serve daemon sends, instead
+// of aborting inside PredictPsIterationTime.
+TEST(CliPredict, P3OnOneIterationTraceExitsTwoWithTheServeMessage) {
+  const std::optional<Trace> trace = ReadTraceFile(GoldenPath("tinymlp_i1.ddtrace"));
+  ASSERT_TRUE(trace.has_value());
+  std::string refusal;
+  ASSERT_FALSE(CheckPsProfile(Daydream(*trace), &refusal));
+
+  std::string output;
+  EXPECT_EQ(RunCliExitCode("predict --trace " + GoldenPath("tinymlp_i1.ddtrace") + " --what-if p3",
+                           &output),
+            2)
+      << output;
+  EXPECT_EQ(output, refusal + "\n");
+
+  EXPECT_EQ(RunCliExitCode("predict --trace " + GoldenPath("tinymlp_i2.ddtrace") + " --what-if p3",
+                           &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("P3 predicted steady-state iteration"), std::string::npos) << output;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,11 +29,15 @@ namespace {
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    trace_path_ = new std::string(::testing::TempDir() + "serve_test_tinymlp.ddtrace");
+    // Per process: ctest runs each test in its own process, in parallel, and
+    // a shared path would let one process read another's half-written file.
+    trace_path_ = new std::string(::testing::TempDir() + "serve_test_tinymlp_" +
+                                  std::to_string(::getpid()) + ".ddtrace");
     const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
     ASSERT_TRUE(WriteTraceFile(trace, *trace_path_));
   }
   static void TearDownTestSuite() {
+    std::remove(trace_path_->c_str());
     delete trace_path_;
     trace_path_ = nullptr;
   }

@@ -279,6 +279,25 @@ TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
   EXPECT_EQ(stats.misses, 3u);
 }
 
+TEST_F(TraceSessionTest, PlansDroppedWithAnEvictedTransformCountAsEvictions) {
+  SessionOptions options;
+  options.plan_cache_capacity = 2;
+  std::shared_ptr<TraceSession> session = NewSession(options);
+  PredictOutcome outcome;
+  std::string error;
+  for (const int machines : {2, 3, 4}) {
+    WhatIfRequest request;
+    request.what_if = "distributed";
+    request.cluster.machines = machines;
+    ASSERT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
+  }
+  // The third signature pushed the first transform out, and EraseStamp took
+  // its plan with it: that plan was evicted even though the plan cache itself
+  // never went past capacity.
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+  EXPECT_GT(session->plan_cache_stats().evictions, 0u);
+}
+
 TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
   std::shared_ptr<TraceSession> session = NewSession();
   WhatIfRequest request;

@@ -2,12 +2,14 @@
 // round trip, and the hostile-input corpus under tests/fuzz/.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "src/core/graph_builder.h"
+#include "src/models/model_zoo.h"
 #include "src/runtime/config.h"
 #include "src/runtime/ground_truth.h"
 #include "src/trace/chrome_trace.h"
@@ -140,6 +142,76 @@ TEST(JsonStream, BufferStaysBoundedOnLargeDocuments) {
   }
   EXPECT_EQ(tok.offset(), total);
   EXPECT_LT(tok.max_buffered_bytes(), 256u);  // ~500KB document, <256B resident
+}
+
+// Hands the document out 1 byte, then 7 bytes, then 1 again, ... per read,
+// so nearly every multi-byte token straddles a refill of the tokenizer's
+// read buffer. Only sgetn is served, which is all the tokenizer calls.
+class TricklingBuf : public std::streambuf {
+ public:
+  explicit TricklingBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  std::streamsize xsgetn(char* out, std::streamsize n) override {
+    const size_t chunk = std::min({static_cast<size_t>(n), next_chunk_, text_.size() - pos_});
+    text_.copy(out, chunk, pos_);
+    pos_ += chunk;
+    next_chunk_ = next_chunk_ == 1 ? 7 : 1;
+    return static_cast<std::streamsize>(chunk);
+  }
+
+ private:
+  std::string text_;
+  size_t pos_ = 0;
+  size_t next_chunk_ = 1;
+};
+
+// Every token (kind, text, bool) with the offset after it, through the final
+// kEnd or kError.
+std::vector<std::string> TokenLog(std::istream& in, JsonStreamTokenizer::Limits limits) {
+  JsonStreamTokenizer tok(in, limits);
+  std::vector<std::string> log;
+  while (true) {
+    const auto& t = tok.Next();
+    log.push_back(std::to_string(static_cast<int>(t.kind)) + " " + t.text + " " +
+                  (t.boolean ? "1" : "0") + " @" + std::to_string(tok.offset()));
+    if (t.kind == TokenKind::kEnd || t.kind == TokenKind::kError) {
+      return log;
+    }
+  }
+}
+
+TEST(JsonStream, ShortReadsYieldTheSameTokensErrorsAndOffsets) {
+  std::stringstream chrome;
+  WriteChromeTrace(CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp), 1), chrome);
+  const std::vector<std::string> documents = {
+      chrome.str(),
+      R"([ "\u00e9\u0041\u20AC\ud83d", "a\"b\\c\/d\b\f\n\r\t", "utf-8 é € run",)"
+      R"( 12345678901234567890, -1.5e+3, 0.25, 7, true, false, null, {"k": [{}, []]} ] )",
+      // Each of these fails somewhere past the first byte.
+      R"(["unterminated)", R"(["bad \q escape"])", R"(["\u12)", R"(["\uZZ12"])",
+      "[\"control \x01 char\"]", "[1.2.3]", "[tru]", "[1 2]", R"({"a" 1})", "[] x",
+      R"(["a string well past the limit"])", "[123456789]", "[[[[[1]]]]]",
+  };
+  JsonStreamTokenizer::Limits tight;
+  tight.max_string_bytes = 8;
+  tight.max_number_bytes = 4;
+  tight.max_depth = 3;
+  for (const JsonStreamTokenizer::Limits& limits : {JsonStreamTokenizer::Limits(), tight}) {
+    for (const std::string& doc : documents) {
+      std::stringstream whole(doc);
+      TricklingBuf trickle(doc);
+      std::istream trickled(&trickle);
+      const std::vector<std::string> expected = TokenLog(whole, limits);
+      EXPECT_EQ(TokenLog(trickled, limits), expected) << doc.substr(0, 80);
+    }
+  }
+  // Both outcomes occur: the export is consumed whole, a truncation fails.
+  std::stringstream clean(documents[0]);
+  EXPECT_NE(TokenLog(clean, {}).back().find("@" + std::to_string(documents[0].size())),
+            std::string::npos);
+  std::stringstream truncated(documents[2]);
+  EXPECT_NE(TokenLog(truncated, {}).back().find("unterminated string"), std::string::npos);
 }
 
 TEST(JsonStream, ParseDecimalUsToNsIsExact) {
@@ -472,6 +544,39 @@ TEST(ChromeImport, RoundTripsCollectedModelZooTrace) {
   ASSERT_TRUE(imported.has_value()) << error;
   EXPECT_EQ(Dump(*imported), Dump(original));
   EXPECT_TRUE(imported->Validate().ok());
+}
+
+// The graph is what every prediction runs on: importing a Chrome export must
+// rebuild it task for task and edge for edge, including the layer map's
+// assignments and the measured gaps.
+TEST(ChromeImport, ImportedTraceBuildsTheSameGraph) {
+  for (const ModelId model : {ModelId::kTinyMlp, ModelId::kBertLarge}) {
+    SCOPED_TRACE(ModelName(model));
+    const Trace original = CollectBaselineTrace(DefaultRunConfig(model), 1);
+    std::stringstream chrome;
+    WriteChromeTrace(original, chrome);
+    std::string error;
+    const std::optional<Trace> imported = Chrome(chrome.str(), &error);
+    ASSERT_TRUE(imported.has_value()) << error;
+
+    const DependencyGraph want = BuildDependencyGraph(original);
+    const DependencyGraph got = BuildDependencyGraph(*imported);
+    ASSERT_EQ(got.capacity(), want.capacity());
+    for (TaskId id = 0; id < want.capacity(); ++id) {
+      const Task& w = want.task(id);
+      const Task& g = got.task(id);
+      ASSERT_EQ(g.name, w.name) << "task " << id;
+      ASSERT_EQ(g.start, w.start) << "task " << id;
+      ASSERT_EQ(g.duration, w.duration) << "task " << id;
+      ASSERT_EQ(g.gap, w.gap) << "task " << id;
+      ASSERT_EQ(got.lane_thread(got.lane_of(id)), want.lane_thread(want.lane_of(id)))
+          << "task " << id;
+      ASSERT_EQ(g.layer_id, w.layer_id) << "task " << id;
+      ASSERT_EQ(g.phase, w.phase) << "task " << id;
+      ASSERT_EQ(got.children(id), want.children(id)) << "task " << id;
+      ASSERT_EQ(got.parents(id), want.parents(id)) << "task " << id;
+    }
+  }
 }
 
 TEST(ChromeImport, SkipsForeignMetadataRows) {

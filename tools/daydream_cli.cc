@@ -274,10 +274,13 @@ int CmdPredict(const Args& args) {
       std::cerr << "trace lacks a known model name\n";
       return 2;
     }
+    if (!CheckPsProfile(session->daydream(), &error)) {
+      std::cerr << error << "\n";
+      return 2;
+    }
     PsWhatIf opts;
     opts.network = request.cluster.network;
     opts.num_servers = request.cluster.machines;
-    // Note: P3 prediction requires a trace collected with --iterations 2.
     const ModelGraph model = BuildModel(*model_id, DefaultBatch(*model_id));
     const TimeNs predicted = PredictPsIterationTime(session->daydream(), model, opts);
     std::cout << StrFormat("P3 predicted steady-state iteration: %.1f ms\n", ToMs(predicted));
