@@ -619,8 +619,8 @@ int Main(int argc, char** argv) {
   // Prediction-as-a-service: the load-once/query-many claim as numbers. A
   // cold query pays the whole per-invocation pipeline every CLI run used to
   // pay (graph build + structural lint + baseline compile + transform +
-  // compile + simulate); a warm query against a live session is a PlanCache
-  // hit — transform-signature lookup plus plan dispatch.
+  // compile + simulate); a warm query against a live session is an answer
+  // cache hit — a request-signature lookup, no simulation at all.
   std::string session_error;
   std::shared_ptr<TraceSession> session =
       TraceSession::Create(trace, SessionOptions{}, &session_error);
@@ -636,7 +636,7 @@ int Main(int argc, char** argv) {
     PredictOutcome outcome;
     std::string error;
     DD_CHECK(session->Predict(serve_request, &outcome, &error) == SessionStatus::kOk) << error;
-    DD_CHECK(outcome.plan_cache_hit) << "warm serve query missed the plan cache";
+    DD_CHECK(outcome.cache_hit) << "warm serve query missed the answer cache";
   });
   // The acceptance gate's cache-stats assertion: every measured warm query
   // above was a hit, and the single prime was the only miss.

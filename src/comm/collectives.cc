@@ -19,7 +19,7 @@ TimeNs RingStepLatency(const ClusterConfig& cluster) {
 }
 
 TimeNs RingAllReduceTime(int64_t bytes, const ClusterConfig& cluster) {
-  const int n = cluster.total_gpus();
+  const int64_t n = cluster.total_gpus();
   DD_CHECK_GE(n, 1);
   if (n == 1) {
     return 0;

@@ -5,6 +5,7 @@
 #ifndef SRC_COMM_NETWORK_SPEC_H_
 #define SRC_COMM_NETWORK_SPEC_H_
 
+#include <cstdint>
 #include <string>
 
 #include "src/util/time_units.h"
@@ -28,7 +29,8 @@ struct ClusterConfig {
   int gpus_per_machine = 1;
   NetworkSpec network;
 
-  int total_gpus() const { return machines * gpus_per_machine; }
+  // int64: the product of two in-range ints can overflow an int.
+  int64_t total_gpus() const { return int64_t{machines} * gpus_per_machine; }
   bool multi_machine() const { return machines > 1; }
   std::string Label() const;  // e.g. "2x2 @ 10Gbps"
 };

@@ -561,6 +561,15 @@ const ExecThread& DependencyGraph::lane_thread(int lane) const {
   return threads_[static_cast<size_t>(lane)].thread;
 }
 
+size_t DependencyGraph::ResidentBytes() const {
+  size_t bytes = tasks_.capacity() * sizeof(Node) + threads_.capacity() * sizeof(ThreadSeq) +
+                 meta_.capacity() * sizeof(TaskMeta);
+  for (const Node& n : tasks_) {
+    bytes += (n.parents.capacity() + n.children.capacity()) * sizeof(TaskId);
+  }
+  return bytes;
+}
+
 DependencyGraph DependencyGraph::Clone() const {
   if (indexes_built_) {
     FlushDirtyIndexEntries();

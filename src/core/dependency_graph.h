@@ -134,6 +134,11 @@ class DependencyGraph {
   // forcing a fresh plan compile).
   uint64_t structure_stamp() const { return structure_stamp_; }
 
+  // Heap bytes held by the nodes, their edge lists and the lane table (an
+  // estimate for memory quotas: vector capacities, not task-name strings or
+  // the lazily built select indexes).
+  size_t ResidentBytes() const;
+
   // ---- Validation & stats ----
 
   // Checks the structural invariants: edges reference alive tasks, no

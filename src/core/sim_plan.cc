@@ -21,6 +21,27 @@ bool SimPlan::CompatibleWith(const DependencyGraph& graph) const {
          structure_->capacity == graph.capacity();
 }
 
+namespace {
+
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
+size_t SimPlan::ResidentBytes() const {
+  size_t bytes = VectorBytes(duration_) + VectorBytes(gap_) + VectorBytes(order_key_);
+  if (structure_ != nullptr) {
+    const Structure& s = *structure_;
+    bytes += sizeof(Structure) + VectorBytes(s.task_ids) + VectorBytes(s.lane) +
+             VectorBytes(s.lane_threads) + VectorBytes(s.succ_offset) + VectorBytes(s.succ) +
+             VectorBytes(s.pred_count) + VectorBytes(s.lane_offset) + VectorBytes(s.lane_tasks) +
+             VectorBytes(s.initial_ready);
+  }
+  return bytes;
+}
+
 SimResult SimPlan::Run() const { return RunEventEngine(*this); }
 
 void SimPlan::FillTimingAndKeys(const DependencyGraph& graph, const Scheduler& scheduler) {

@@ -76,6 +76,9 @@ class SimPlan {
   // (stamp + capacity match). Only meaningful between a graph and its clones;
   // see DependencyGraph::structure_stamp().
   bool CompatibleWith(const DependencyGraph& graph) const;
+  // Heap bytes held by the plan: the structure block plus the timing and key
+  // arrays (an estimate for memory quotas, counted by vector capacity).
+  size_t ResidentBytes() const;
 
  private:
   friend SimResult RunEventEngine(const SimPlan& plan);

@@ -96,7 +96,7 @@ double Executor::PsChannelBytesPerNs() const {
 }
 
 TimeNs Executor::PsServerTime(const PsSlice& slice) const {
-  const int workers = config_.cluster.total_gpus();
+  const int64_t workers = config_.cluster.total_gpus();
   const double agg_ns =
       static_cast<double>(slice.bytes) * (workers - 1) / kPsServerAggBytesPerNs;
   return kPsServerFixedNs + static_cast<TimeNs>(agg_ns);

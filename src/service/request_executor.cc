@@ -426,7 +426,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
     }
     if (what_if.what_if == "p3") {
       // P3 is not a graph transform — it reports its own metric (the
-      // steady-state parameter-server iteration), so it bypasses the plan
+      // steady-state parameter-server iteration), so it bypasses the answer
       // cache and the session's transform machinery entirely.
       if (!session->model_id().has_value()) {
         response.line = ErrorResponse(id, "bad_request", "trace lacks a known model name");
@@ -474,7 +474,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
     writer.AddDouble("speedup_pct", "%.2f", outcome.prediction.SpeedupPct());
     writer.AddDouble("speedup_ratio", "%.3f", outcome.prediction.SpeedupRatio());
     writer.AddInt("tasks", outcome.tasks);
-    writer.AddBool("cache_hit", outcome.plan_cache_hit);
+    writer.AddBool("cache_hit", outcome.cache_hit);
     response.line = writer.Finish();
     return response;
   }

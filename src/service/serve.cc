@@ -17,6 +17,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "src/service/version.h"
 #include "src/util/deadline.h"
 #include "src/util/fault.h"
+#include "src/util/json.h"
 
 namespace daydream {
 
@@ -225,6 +227,18 @@ LineStatus ReadBoundedLine(std::istream& in, std::string* line, size_t max_bytes
   }
 }
 
+// True for a request line whose verb is `shutdown`. The worker that executes
+// it sets shutdown_requested() only later; a stdio reader that went back into
+// a blocking read meanwhile would keep the daemon up until stdin closes.
+bool IsShutdownRequest(const std::string& line) {
+  if (line.find("shutdown") == std::string::npos) {
+    return false;  // skips the parse for every other request
+  }
+  std::string error;
+  const std::optional<JsonObject> request = ParseJsonObject(line, &error);
+  return request.has_value() && request->GetString("verb") == "shutdown";
+}
+
 }  // namespace
 
 std::string ServeHelloBanner() {
@@ -255,8 +269,14 @@ int RunServeStdio(std::istream& in, std::ostream& out, const ServeOptions& optio
       break;
     }
     if (!line.empty()) {  // blank lines are keep-alives, not requests
+      const bool shutdown = IsShutdownRequest(line);
       pool.Submit(std::move(line));
       line.clear();
+      if (shutdown) {
+        // Let it execute before reading on: an accepted shutdown ends the
+        // loop; a shed or failed one leaves the daemon reading.
+        pool.Drain();
+      }
     }
     if (!in.good()) {
       break;  // EOF after a final unterminated line, or an EINTR'd drain

@@ -16,11 +16,6 @@ namespace daydream {
 
 namespace {
 
-// The default scheduler's identity in PlanCache keys. Custom schedulers are
-// not reachable through the service API yet; the key field exists so adding
-// them never aliases a cached plan.
-constexpr char kDefaultSchedulerKey[] = "earliest_start";
-
 std::optional<ModelId> LookupModel(const std::string& name) {
   for (ModelId id : AllModels()) {
     if (name == ModelName(id)) {
@@ -39,9 +34,9 @@ std::string NetworkSignature(const NetworkSpec& network) {
 }  // namespace
 
 std::string WhatIfRequest::Signature() const {
-  // Only parameters that shape the transform belong here: engine/validate
-  // select how a transformed graph is consumed, not what it is, and must not
-  // fragment the transform cache.
+  // Only parameters that shape the transform belong here: engine/validate/
+  // sim_jobs select how a transformed graph is consumed, not what it is, and
+  // must not fragment the answer cache.
   if (what_if == "distributed") {
     return StrFormat("distributed:%dx%d:%s", cluster.machines, cluster.gpus_per_machine,
                      NetworkSignature(cluster.network).c_str());
@@ -87,13 +82,15 @@ std::shared_ptr<TraceSession> TraceSession::Create(Trace trace, SessionOptions o
 TraceSession::TraceSession(Trace trace, DependencyGraph graph, SessionOptions options)
     : options_(options),
       daydream_(std::move(trace), std::move(graph)),
-      model_id_(LookupModel(daydream_.trace().model_name())),
-      plan_cache_(options.plan_cache_capacity) {
+      model_id_(LookupModel(daydream_.trace().model_name())) {
   if (model_id_.has_value()) {
     model_graph_ = std::make_shared<const ModelGraph>(BuildModel(*model_id_));
   }
-  resident_bytes_ = daydream_.trace().size() * sizeof(TraceEvent) +
-                    static_cast<size_t>(daydream_.graph().num_alive()) * sizeof(Task);
+  base_bytes_ = daydream_.trace().size() * sizeof(TraceEvent) +
+                daydream_.graph().ResidentBytes() + daydream_.baseline_plan().ResidentBytes();
+  if (model_graph_ != nullptr) {
+    base_bytes_ += static_cast<size_t>(model_graph_->num_layers()) * sizeof(Layer);
+  }
 }
 
 SessionStatus TraceSession::ResolveTransform(const WhatIfRequest& request,
@@ -151,89 +148,104 @@ SessionStatus TraceSession::ResolveTransform(const WhatIfRequest& request,
   return SessionStatus::kUnknownWhatIf;
 }
 
-SessionStatus TraceSession::TransformedGraph(
-    const WhatIfRequest& request, const std::function<void(DependencyGraph*)>& transform,
-    std::shared_ptr<const DependencyGraph>* graph, int* tasks, std::string* error) {
-  const std::string signature = request.Signature();
-  {
-    std::lock_guard<std::mutex> lock(transforms_mu_);
-    auto it = transforms_.find(signature);
-    if (it != transforms_.end()) {
-      it->second.sequence = ++transform_sequence_;
-      *graph = it->second.graph;
-      *tasks = it->second.tasks;
-      return SessionStatus::kOk;
-    }
+bool TraceSession::FindAnswer(const std::string& signature, PredictOutcome* outcome) {
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  auto it = answer_index_.find(signature);
+  if (it == answer_index_.end()) {
+    ++stats_.misses;
+    return false;
   }
+  ++stats_.hits;
+  answers_.splice(answers_.begin(), answers_, it->second);
+  *outcome = it->second->second;
+  outcome->cache_hit = true;
+  return true;
+}
 
-  // Build outside the lock: clone + transform can take tens of milliseconds
-  // and the baseline graph supports concurrent const access (the SweepRunner
-  // contract).
-  auto transformed = std::make_shared<DependencyGraph>(daydream_.CloneGraph());
-  transform(transformed.get());
-  // Structural lint before anyone compiles this graph — SimPlan::Compile
-  // DD_CHECKs on a broken structure, and a daemon must refuse, not abort.
-  const LintReport report = GraphLint::LintStructure(*transformed);
-  if (!report.ok()) {
-    *error = StrFormat("what-if '%s' produced an invalid graph:\n", request.what_if.c_str()) +
-             report.ToString();
-    return SessionStatus::kLintFailed;
+void TraceSession::StoreAnswer(const std::string& signature, const PredictOutcome& outcome,
+                               bool retimed) {
+  // Fault site: a failed insert degrades gracefully — the request that
+  // computed the answer still returns it, the cache just stays cold.
+  const bool dropped = FaultInjector::Global().ShouldFail("plan_cache_insert");
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  ++(retimed ? stats_.retimes : stats_.compiles);
+  if (dropped) {
+    return;
   }
+  // One entry: its list node (signature, answer, two links), its index node
+  // (key view, iterator, bucket link, cached hash) and the signature's bytes.
+  auto entry_bytes = [](const std::string& key) {
+    return sizeof(AnswerList::value_type) + 2 * sizeof(void*) + sizeof(std::string_view) +
+           3 * sizeof(void*) + key.size();
+  };
+  auto found = answer_index_.find(signature);
+  if (found != answer_index_.end()) {
+    // A concurrent miss on the same signature stored first. The simulation
+    // is deterministic, so its answer is this one; just refresh recency.
+    answers_.splice(answers_.begin(), answers_, found->second);
+    return;
+  }
+  answers_.emplace_front(signature, outcome);
+  answer_index_.emplace(answers_.front().first, answers_.begin());
+  answer_bytes_ += entry_bytes(signature);
+  while (answers_.size() > options_.plan_cache_capacity) {
+    const std::string& victim = answers_.back().first;
+    answer_bytes_ -= entry_bytes(victim);
+    answer_index_.erase(victim);
+    answers_.pop_back();
+    ++stats_.evictions;
+  }
+}
 
-  std::lock_guard<std::mutex> lock(transforms_mu_);
-  auto it = transforms_.find(signature);
-  if (it == transforms_.end()) {
-    CachedTransform entry;
-    entry.graph = std::move(transformed);
-    entry.tasks = entry.graph->num_alive();
-    entry.sequence = ++transform_sequence_;
-    it = transforms_.emplace(signature, std::move(entry)).first;
-    while (transforms_.size() > options_.plan_cache_capacity) {
-      auto victim = std::min_element(transforms_.begin(), transforms_.end(),
-                                     [](const auto& a, const auto& b) {
-                                       return a.second.sequence < b.second.sequence;
-                                     });
-      if (victim == it) {
-        break;
-      }
-      // The victim's graph is unreachable now, so its cached plans are too.
-      plan_cache_.EraseStamp(victim->second.graph->structure_stamp());
-      transforms_.erase(victim);
-    }
-  } else {
-    // A concurrent builder raced us to this signature. Its graph carries a
-    // different structure stamp, so adopt the winner's — mixing the two
-    // would split the plan cache over stamps that denote the same request.
-    it->second.sequence = ++transform_sequence_;
-  }
-  *graph = it->second.graph;
-  *tasks = it->second.tasks;
-  return SessionStatus::kOk;
+PlanCacheStats TraceSession::plan_cache_stats() const {
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  return stats_;
+}
+
+size_t TraceSession::plan_cache_size() const {
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  return answers_.size();
+}
+
+size_t TraceSession::resident_bytes() const {
+  std::lock_guard<std::mutex> lock(answers_mu_);
+  return base_bytes_ + answer_bytes_;
 }
 
 SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome* outcome,
                                     std::string* error, const Deadline& deadline) {
+  const bool memoize = request.engine == EngineKind::kEvent && !request.validate;
+  const std::string signature = memoize ? request.Signature() : std::string();
+  outcome->cache_hit = false;
+  if (memoize && FindAnswer(signature, outcome)) {
+    return SessionStatus::kOk;
+  }
+
   std::function<void(DependencyGraph*)> transform;
   const SessionStatus resolved = ResolveTransform(request, &transform, error);
   if (resolved != SessionStatus::kOk) {
     return resolved;
   }
-
-  std::shared_ptr<const DependencyGraph> graph;
-  int tasks = 0;
-  const SessionStatus built = TransformedGraph(request, transform, &graph, &tasks, error);
-  if (built != SessionStatus::kOk) {
-    return built;
+  // The baseline graph supports concurrent const access (the SweepRunner
+  // contract), so concurrent misses clone it without a lock.
+  DependencyGraph graph = daydream_.CloneGraph();
+  transform(&graph);
+  // Structural lint before anyone compiles this graph — SimPlan::Compile
+  // DD_CHECKs on a broken structure, and a daemon must refuse, not abort.
+  const LintReport structure = GraphLint::LintStructure(graph);
+  if (!structure.ok()) {
+    *error = StrFormat("what-if '%s' produced an invalid graph:\n", request.what_if.c_str()) +
+             structure.ToString();
+    return SessionStatus::kLintFailed;
   }
   if (deadline.Expired()) {
     *error = "deadline expired after the what-if transform";
     return SessionStatus::kDeadlineExceeded;
   }
-
   if (request.validate) {
     // Strict mode (`predict --validate`): the full lint catalog over the
     // transformed graph, with every finding reported, before any prediction.
-    const LintReport report = GraphLint::LintGraph(*graph);
+    const LintReport report = GraphLint::LintGraph(graph);
     if (!report.ok()) {
       *error = StrFormat("what-if '%s' fails lint:\n", request.what_if.c_str()) +
                report.ToString();
@@ -241,35 +253,25 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
     }
   }
 
-  outcome->tasks = tasks;
+  outcome->tasks = graph.num_alive();
   outcome->prediction.baseline = daydream_.BaselineSimTime();
-
   if (request.engine == EngineKind::kReference) {
-    // The Algorithm-1 differential-debugging scan has no compiled plan to
-    // cache; it bypasses the PlanCache entirely.
-    outcome->plan_cache_hit = false;
+    // The Algorithm-1 differential-debugging scan compiles no plan.
     const Simulator simulator(std::make_shared<EarliestStartScheduler>(), EngineKind::kReference);
-    outcome->prediction.predicted = simulator.Run(*graph).makespan;
+    outcome->prediction.predicted = simulator.Run(graph).makespan;
     return SessionStatus::kOk;
   }
 
-  const PlanCache::Key key{graph->structure_stamp(), kDefaultSchedulerKey, request.Signature()};
-  std::shared_ptr<const SimPlan> plan = plan_cache_.Get(key);
-  outcome->plan_cache_hit = plan != nullptr;
-  if (plan == nullptr) {
-    if (FaultInjector::Global().ShouldFail("plan_compile")) {
-      *error = "injected fault at plan_compile";
-      return SessionStatus::kUnavailable;
-    }
-    // Timing-only transforms leave the baseline structure stamp intact, so
-    // the baseline plan donates its structure block (Retime); anything else
-    // pays the full CSR compile.
-    const bool retime = daydream_.baseline_plan().CompatibleWith(*graph);
-    const Simulator simulator;
-    plan = std::make_shared<const SimPlan>(
-        simulator.Compile(*graph, retime ? &daydream_.baseline_plan() : nullptr));
-    plan_cache_.Put(key, plan, retime);
+  if (FaultInjector::Global().ShouldFail("plan_compile")) {
+    *error = "injected fault at plan_compile";
+    return SessionStatus::kUnavailable;
   }
+  // Timing-only transforms leave the baseline structure stamp intact, so the
+  // baseline plan donates its structure block (Retime); anything else pays
+  // the full CSR compile.
+  const bool retime = daydream_.baseline_plan().CompatibleWith(graph);
+  const SimPlan plan =
+      Simulator().Compile(graph, retime ? &daydream_.baseline_plan() : nullptr);
   if (deadline.Expired()) {
     *error = "deadline expired before plan dispatch";
     return SessionStatus::kDeadlineExceeded;
@@ -284,13 +286,16 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
     // horizons — the only dispatch path with a cooperative mid-run exit.
     bool deadline_hit = false;
     outcome->prediction.predicted =
-        RunPlanParallel(*plan, sim_jobs, nullptr, &deadline, &deadline_hit).makespan;
+        RunPlanParallel(plan, sim_jobs, nullptr, &deadline, &deadline_hit).makespan;
     if (deadline_hit) {
       *error = "deadline expired during sharded plan dispatch";
       return SessionStatus::kDeadlineExceeded;
     }
   } else {
-    outcome->prediction.predicted = plan->Run().makespan;
+    outcome->prediction.predicted = plan.Run().makespan;
+  }
+  if (memoize) {
+    StoreAnswer(signature, *outcome, retime);
   }
   return SessionStatus::kOk;
 }

@@ -8,11 +8,13 @@
 // predict/sweep/lint queries against it:
 //
 //   - Predict resolves a WhatIfRequest to a graph transform (the resolution
-//     logic that used to be inlined in the CLI), caches the transformed graph
-//     per request signature, and serves the compiled plan from the PlanCache:
-//     a repeated query is a lookup + plan dispatch; a timing-only what-if
-//     that misses fills the cache through SimPlan::Retime over the baseline
-//     structure instead of a full CSR compile.
+//     logic that used to be inlined in the CLI) and memoizes the answer per
+//     request signature. The simulation is deterministic, so a repeated
+//     question is a hash lookup in a small LRU answer cache. A miss runs
+//     clone -> transform -> structural lint -> compile (or SimPlan::Retime
+//     over the baseline plan's structure for a timing-only what-if) ->
+//     dispatch, stores the {prediction, tasks} answer — a few dozen bytes —
+//     and frees the transformed graph and its plan before returning.
 //   - Sweep runs a case matrix through the existing SweepRunner pipeline over
 //     this session's shared Daydream instance.
 //   - Lint runs the GraphLint catalog over the session graph (optionally
@@ -25,12 +27,16 @@
 #ifndef SRC_SERVICE_SESSION_H_
 #define SRC_SERVICE_SESSION_H_
 
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/comm/network_spec.h"
@@ -39,7 +45,6 @@
 #include "src/core/predictor.h"
 #include "src/models/model_zoo.h"
 #include "src/runtime/sweep.h"
-#include "src/service/plan_cache.h"
 #include "src/util/deadline.h"
 
 namespace daydream {
@@ -56,7 +61,7 @@ struct WhatIfRequest {
   // Shards for the plan dispatch (sharded parallel engine; 1 = serial).
   // Consumption-only, like engine/validate: it changes how fast the answer
   // arrives, never the answer, so it must not enter Signature() — requests
-  // differing only in sim_jobs share cached transforms and plans.
+  // differing only in sim_jobs share one cached answer.
   int sim_jobs = 1;
 
   // Canonical cache signature: every parameter that shapes the transform.
@@ -65,8 +70,20 @@ struct WhatIfRequest {
 
 struct PredictOutcome {
   PredictionResult prediction;
-  int tasks = 0;            // alive tasks in the transformed graph
-  bool plan_cache_hit = false;  // served straight from the PlanCache
+  int tasks = 0;           // alive tasks in the transformed graph
+  bool cache_hit = false;  // answered from the session's answer cache
+};
+
+// Answer-cache counters. The plan_cache_* names predate the answer cache and
+// stay, because the `stats` verb and the benchmarks report them. `retimes`
+// and `compiles` say how the misses were filled: SimPlan::Retime over the
+// baseline plan's structure (timing-only what-ifs) vs a full CSR compile.
+struct PlanCacheStats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;  // answers dropped past capacity
+  uint64_t retimes = 0;
+  uint64_t compiles = 0;
 };
 
 // How a session call failed; the CLI maps these onto its historical exit
@@ -85,7 +102,7 @@ enum class SessionStatus {
 };
 
 struct SessionOptions {
-  // Bounds both the PlanCache and the per-signature transformed-graph cache.
+  // Answers the session memoizes (LRU by request signature).
   size_t plan_cache_capacity = 64;
 };
 
@@ -108,7 +125,9 @@ class TraceSession {
                                  std::function<void(DependencyGraph*)>* transform,
                                  std::string* error) const;
 
-  // One what-if prediction with warm-plan reuse (see file comment).
+  // One what-if prediction, memoized per Signature() (see file comment). The
+  // reference engine and `validate` requests re-check how an answer is
+  // computed, so they always recompute and never touch the answer cache.
   // `deadline` is checked between the pipeline's stages (after the transform,
   // after the compile, between shard horizons when the dispatch is sharded):
   // an expired budget returns kDeadlineExceeded instead of finishing.
@@ -132,31 +151,29 @@ class TraceSession {
   // layers), verbatim.
   std::string ReportText() const;
 
-  PlanCacheStats plan_cache_stats() const { return plan_cache_.stats(); }
-  size_t plan_cache_size() const { return plan_cache_.size(); }
+  PlanCacheStats plan_cache_stats() const;
+  size_t plan_cache_size() const;  // answers held
 
-  // Estimated resident footprint (trace events + alive graph tasks), the
-  // quantity SessionManager's max_resident_bytes quota sums. An estimate on
-  // purpose: eviction needs a stable relative ordering, not an allocator
-  // audit.
-  size_t resident_bytes() const { return resident_bytes_; }
+  // Estimated resident footprint — the trace, the baseline graph and plan,
+  // the model graph and the answer-cache entries — the quantity
+  // SessionManager's max_resident_bytes quota sums. Grows as answers are
+  // memoized and stops at the cache's capacity. An estimate on purpose:
+  // eviction needs a stable relative ordering, not an allocator audit.
+  size_t resident_bytes() const;
 
  private:
-  struct CachedTransform {
-    std::shared_ptr<const DependencyGraph> graph;
-    int tasks = 0;
-    uint64_t sequence = 0;  // LRU clock
-  };
+  // Signature -> answer, most-recent first. The index keys view the
+  // signatures stored here (list nodes never move), so each is held once.
+  using AnswerList = std::list<std::pair<std::string, PredictOutcome>>;
 
   TraceSession(Trace trace, DependencyGraph graph, SessionOptions options);
 
-  // Returns the cached transformed graph for the request signature, building
-  // (clone + transform + structural lint) on miss. kLintFailed when the
-  // transform output is rejected.
-  SessionStatus TransformedGraph(const WhatIfRequest& request,
-                                 const std::function<void(DependencyGraph*)>& transform,
-                                 std::shared_ptr<const DependencyGraph>* graph, int* tasks,
-                                 std::string* error);
+  // Answer-cache probe: counts a hit or a miss; on a hit fills `outcome` and
+  // promotes the entry.
+  bool FindAnswer(const std::string& signature, PredictOutcome* outcome);
+  // Records how a miss was filled and memoizes its answer, evicting the
+  // least-recently-used entry past capacity.
+  void StoreAnswer(const std::string& signature, const PredictOutcome& outcome, bool retimed);
 
   const SessionOptions options_;
   Daydream daydream_;
@@ -164,12 +181,13 @@ class TraceSession {
   // Layer-structured what-ifs need the model graph; built once, shared by
   // every resolved transform (read-only, as in BuildStandardSweep).
   std::shared_ptr<const ModelGraph> model_graph_;
+  size_t base_bytes_ = 0;  // resident bytes of everything but the answers
 
-  PlanCache plan_cache_;
-  size_t resident_bytes_ = 0;
-  mutable std::mutex transforms_mu_;
-  std::map<std::string, CachedTransform> transforms_;  // signature -> graph
-  uint64_t transform_sequence_ = 0;
+  mutable std::mutex answers_mu_;
+  AnswerList answers_;
+  std::unordered_map<std::string_view, AnswerList::iterator> answer_index_;
+  size_t answer_bytes_ = 0;
+  PlanCacheStats stats_;
 };
 
 // Resource quotas for the session table; zero disables a bound.

@@ -10,9 +10,9 @@
 //   ----------------  --------------------------------  ----------------------
 //   trace_load        `open` verb, before ReadTraceFile  `unavailable` envelope
 //   plan_compile      TraceSession::Predict, cache miss  `unavailable` envelope
-//   plan_cache_insert PlanCache::Put                     insert dropped (plan
-//                                                        stays uncached; the
-//                                                        request still answers)
+//   plan_cache_insert TraceSession answer-cache insert   insert dropped (the
+//                                                        request still answers;
+//                                                        repeats stay misses)
 //   worker_execute    RequestPool worker, pre-dispatch   `unavailable` envelope
 //   socket_write      TCP write_line, per send() call    send clamped to one
 //                                                        byte (the retry loop

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace daydream {
@@ -96,6 +97,26 @@ TEST(ParseCluster, RejectsMalformedShape) {
     Args args;
     args.flags["cluster"] = bad;
     EXPECT_FALSE(ParseCluster(args).has_value()) << "--cluster " << bad;
+  }
+}
+
+TEST(ParseCluster, EnforcesTheDocumentedMaxima) {
+  Args largest;
+  largest.flags["cluster"] =
+      std::to_string(kMaxClusterMachines) + "x" + std::to_string(kMaxGpusPerMachine);
+  const std::optional<ClusterConfig> cluster = ParseCluster(largest);
+  ASSERT_TRUE(cluster.has_value());
+  EXPECT_EQ(cluster->total_gpus(), int64_t{kMaxClusterMachines} * kMaxGpusPerMachine);
+  for (const std::string bad :
+       {std::to_string(kMaxClusterMachines + 1) + "x1", "1x" + std::to_string(kMaxGpusPerMachine + 1),
+        std::string("100000x100000")}) {
+    Args args;
+    args.flags["cluster"] = bad;
+    std::string error;
+    EXPECT_FALSE(ParseCluster(args, &error).has_value()) << "--cluster " << bad;
+    EXPECT_NE(error.find("M <= 1024"), std::string::npos) << error;
+    args.flags["cluster"] = "2x2," + bad;
+    EXPECT_FALSE(ParseClusterList(args, &error).has_value()) << "--cluster 2x2," << bad;
   }
 }
 
@@ -210,6 +231,22 @@ TEST(ParsePipelineFlags, RejectsMalformedValues) {
   bad_schedule.flags["pipeline-stages"] = "2";
   bad_schedule.flags["schedule"] = "warp";
   EXPECT_FALSE(ParsePipelineFlags(bad_schedule).has_value());
+}
+
+TEST(ParsePipelineFlags, EnforcesTheDocumentedMaxima) {
+  Args largest;
+  largest.flags["pipeline-stages"] = std::to_string(kMaxPipelineStages);
+  largest.flags["microbatches"] = std::to_string(kMaxMicrobatches);
+  EXPECT_TRUE(ParsePipelineFlags(largest).has_value());
+  Args stages;
+  stages.flags["pipeline-stages"] = "2," + std::to_string(kMaxPipelineStages + 1);
+  EXPECT_FALSE(ParsePipelineFlags(stages).has_value());
+  Args microbatches;
+  microbatches.flags["pipeline-stages"] = "2";
+  microbatches.flags["microbatches"] = "5000000";
+  std::string error;
+  EXPECT_FALSE(ParsePipelineFlags(microbatches, &error).has_value());
+  EXPECT_NE(error.find("1..1024"), std::string::npos) << error;
 }
 
 TEST(ParsePipelineFlags, ScheduleWithoutStagesIsAnError) {

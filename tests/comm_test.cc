@@ -33,6 +33,14 @@ TEST(Collectives, MonotonicInWorkers) {
             RingAllReduceTime(100 << 20, Cluster(4, 1)));
 }
 
+TEST(Collectives, TotalGpusDoesNotOverflowAnInt) {
+  // 100000 x 100000 used to wrap the int product negative, and the ring
+  // formulas then answered a "speedup" of -0.0%.
+  EXPECT_EQ(Cluster(100000, 100000).total_gpus(), int64_t{10000000000});
+  EXPECT_GT(RingAllReduceTime(100 << 20, Cluster(100000, 100000)),
+            RingAllReduceTime(100 << 20, Cluster(4, 1)));
+}
+
 TEST(Collectives, FasterNetworkIsFaster) {
   EXPECT_GT(RingAllReduceTime(100 << 20, Cluster(4, 1, 10.0)),
             RingAllReduceTime(100 << 20, Cluster(4, 1, 40.0)));

@@ -207,5 +207,20 @@ TEST(CliPredict, P3OnOneIterationTraceExitsTwoWithTheServeMessage) {
   EXPECT_NE(output.find("P3 predicted steady-state iteration"), std::string::npos) << output;
 }
 
+TEST(CliPredict, OutOfRangeSizesExitTwo) {
+  // 100000x100000 used to overflow the GPU count and answer -0.0% with exit 0;
+  // 5000000 micro-batches used to die in std::bad_alloc.
+  const std::string trace = "predict --trace " + GoldenPath("tinymlp_i1.ddtrace");
+  std::string output;
+  EXPECT_EQ(RunCliExitCode(trace + " --what-if distributed --cluster 100000x100000", &output), 2)
+      << output;
+  EXPECT_NE(output.find("bad --cluster '100000x100000'"), std::string::npos) << output;
+  EXPECT_EQ(RunCliExitCode(trace + " --what-if pipeline --pipeline-stages 2 --microbatches 5000000",
+                           &output),
+            2)
+      << output;
+  EXPECT_NE(output.find("bad --microbatches '5000000'"), std::string::npos) << output;
+}
+
 }  // namespace
 }  // namespace daydream

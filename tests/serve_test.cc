@@ -8,11 +8,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/runtime/ground_truth.h"
@@ -181,10 +186,39 @@ TEST_F(ServeTest, WarmPredictHitsThePlanCache) {
   EXPECT_EQ(stats.GetNumber("plan_cache_compiles"), 0.0);
 }
 
+TEST_F(ServeTest, OpenCacheCapacityBoundsTheAnswerCache) {
+  // Benchmarks and clients read these exact stats keys.
+  RequestExecutor executor;
+  const JsonObject opened = Parse(
+      executor
+          .Handle("{\"verb\": \"open\", \"trace\": \"" + *trace_path_ +
+                  "\", \"cache_capacity\": 1}")
+          .line);
+  ASSERT_TRUE(opened.GetBool("ok"));
+  const std::string prefix =
+      "{\"verb\": \"predict\", \"session\": \"" + opened.GetString("session") + "\", ";
+  for (const char* what_if : {"amp", "fused_adam", "amp"}) {
+    const JsonObject response =
+        Parse(executor.Handle(prefix + "\"what_if\": \"" + what_if + "\"}").line);
+    EXPECT_TRUE(response.GetBool("ok")) << what_if;
+    EXPECT_FALSE(response.GetBool("cache_hit", true)) << what_if;
+  }
+  const JsonObject stats = Parse(
+      executor.Handle("{\"verb\": \"stats\", \"session\": \"" + opened.GetString("session") +
+                      "\"}")
+          .line);
+  EXPECT_EQ(stats.GetNumber("plan_cache_size", -1), 1.0);
+  EXPECT_EQ(stats.GetNumber("plan_cache_hits", -1), 0.0);
+  EXPECT_EQ(stats.GetNumber("plan_cache_misses", -1), 3.0);
+  EXPECT_EQ(stats.GetNumber("plan_cache_evictions", -1), 2.0);
+  EXPECT_EQ(stats.GetNumber("plan_cache_retimes", -1), 2.0);
+  EXPECT_EQ(stats.GetNumber("plan_cache_compiles", -1), 1.0);
+}
+
 TEST_F(ServeTest, SimJobsIsConsumptionOnly) {
   // A daemon sized 2 workers × default 4 shards: the executor clamps the
   // effective shard count to the machine, requests may override it, and none
-  // of that may change the answer or fragment the plan cache.
+  // of that may change the answer or fragment the answer cache.
   RequestExecutor executor(SessionOptions{}, /*workers=*/2, /*default_sim_jobs=*/4);
   const std::string handle = Open(&executor);
 
@@ -220,6 +254,21 @@ TEST_F(ServeTest, PredictReportsUnknownWhatIfsAndBadFlags) {
                   "\", \"what_if\": \"distributed\", \"cluster\": \"banana\"}")
           .line);
   EXPECT_EQ(bad_flag.GetString("code"), "bad_request");
+}
+
+TEST_F(ServeTest, PredictRejectsSizesPastTheDocumentedMaxima) {
+  RequestExecutor executor;
+  const std::string handle = Open(&executor);
+  const std::string prefix = "{\"verb\": \"predict\", \"session\": \"" + handle + "\", ";
+  for (const std::string fields :
+       {"\"what_if\": \"distributed\", \"cluster\": \"100000x100000\"}",
+        "\"what_if\": \"p3\", \"cluster\": \"2000x1\"}",
+        "\"what_if\": \"pipeline\", \"pipeline_stages\": 5000}",
+        "\"what_if\": \"pipeline\", \"pipeline_stages\": 2, \"microbatches\": 5000000}"}) {
+    const JsonObject response = Parse(executor.Handle(prefix + fields).line);
+    EXPECT_FALSE(response.GetBool("ok", true)) << fields;
+    EXPECT_EQ(response.GetString("code"), "bad_request") << fields;
+  }
 }
 
 TEST_F(ServeTest, P3PredictBypassesTheTransformMachinery) {
@@ -367,6 +416,45 @@ TEST_F(ServeTest, StdioEofDrainsWithoutAShutdownVerb) {
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], ServeHelloBanner());
   EXPECT_EQ(lines[1], "{\"id\": 1, \"ok\": true}");
+}
+
+// A stdin whose writer keeps the pipe open: serves `data`, then blocks in
+// underflow for `hold` before reporting EOF.
+class HeldOpenStreambuf : public std::streambuf {
+ public:
+  HeldOpenStreambuf(std::string data, std::chrono::milliseconds hold)
+      : data_(std::move(data)), hold_(hold) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+  bool read_past_data() const { return read_past_data_.load(); }
+
+ protected:
+  int_type underflow() override {
+    read_past_data_.store(true);
+    std::this_thread::sleep_for(hold_);
+    return traits_type::eof();
+  }
+
+ private:
+  std::string data_;
+  const std::chrono::milliseconds hold_;
+  std::atomic<bool> read_past_data_{false};
+};
+
+TEST_F(ServeTest, StdioStopsReadingOnceAShutdownIsAccepted) {
+  // The daemon must exit on the shutdown verb, not when the writer finally
+  // hangs up: no read may wait past the shutdown line.
+  HeldOpenStreambuf buffer("{\"id\": 1, \"verb\": \"shutdown\"}\n",
+                           std::chrono::milliseconds(3000));
+  std::istream in(&buffer);
+  std::ostringstream out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(RunServeStdio(in, out), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(2000));
+  EXPECT_FALSE(buffer.read_past_data());
+  const std::vector<std::string> lines = Lines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(Parse(lines[1]).GetBool("shutting_down"));
 }
 
 TEST_F(ServeTest, StdioAnswersEveryRequestUnderConcurrency) {

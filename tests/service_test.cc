@@ -1,7 +1,8 @@
-// Service-layer tests: PlanCache policy (hit/miss/LRU/stamp invalidation),
-// TraceSession warm-query reuse against the Daydream oracle, and the
-// SessionManager table — including the multi-client stress the TSan CI job
-// runs (many threads hammering one session's caches).
+// Service-layer tests: TraceSession answers against the Daydream oracle, the
+// session's answer cache (LRU, counters, retime/compile attribution,
+// bypasses, resident bytes), and the SessionManager table — including the
+// multi-client stress the TSan CI job runs (many threads hammering one
+// session's cache).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,118 +14,11 @@
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
 #include "src/runtime/ground_truth.h"
-#include "src/service/plan_cache.h"
 #include "src/service/session.h"
+#include "src/util/fault.h"
 
 namespace daydream {
 namespace {
-
-// ---- PlanCache ----
-
-std::shared_ptr<const SimPlan> DummyPlan() { return std::make_shared<const SimPlan>(); }
-
-TEST(PlanCache, MissThenPutThenHit) {
-  PlanCache cache(4);
-  const PlanCache::Key key{1, "earliest_start", "amp"};
-  EXPECT_EQ(cache.Get(key), nullptr);
-  cache.Put(key, DummyPlan(), /*retimed=*/true);
-  EXPECT_NE(cache.Get(key), nullptr);
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.retimes, 1u);
-  EXPECT_EQ(stats.compiles, 0u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PlanCache, KeySeparatesStampSchedulerAndSignature) {
-  PlanCache cache(8);
-  cache.Put({1, "earliest_start", "amp"}, DummyPlan(), false);
-  // Timing variants over one shared structure: same stamp, same scheduler,
-  // different signature — must not alias.
-  EXPECT_EQ(cache.Get({1, "earliest_start", "other"}), nullptr);
-  EXPECT_EQ(cache.Get({2, "earliest_start", "amp"}), nullptr);
-  EXPECT_EQ(cache.Get({1, "critical_path", "amp"}), nullptr);
-  EXPECT_NE(cache.Get({1, "earliest_start", "amp"}), nullptr);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PlanCache, EvictsLeastRecentlyUsedPastCapacity) {
-  PlanCache cache(2);
-  cache.Put({1, "s", "a"}, DummyPlan(), false);
-  cache.Put({2, "s", "b"}, DummyPlan(), false);
-  EXPECT_NE(cache.Get({1, "s", "a"}), nullptr);  // promote key 1
-  cache.Put({3, "s", "c"}, DummyPlan(), false);  // evicts key 2, the LRU
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Get({2, "s", "b"}), nullptr);
-  EXPECT_NE(cache.Get({1, "s", "a"}), nullptr);
-  EXPECT_NE(cache.Get({3, "s", "c"}), nullptr);
-}
-
-TEST(PlanCache, PutOnExistingKeyRefreshesInPlace) {
-  PlanCache cache(2);
-  const PlanCache::Key key{1, "s", "a"};
-  cache.Put(key, DummyPlan(), false);
-  cache.Put(key, DummyPlan(), true);  // a concurrent builder raced us
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.stats().compiles, 1u);
-  EXPECT_EQ(cache.stats().retimes, 1u);
-}
-
-TEST(PlanCache, EraseStampDropsEveryPlanForThatStructure) {
-  PlanCache cache(8);
-  cache.Put({1, "s", "amp"}, DummyPlan(), false);
-  cache.Put({1, "s", "other"}, DummyPlan(), false);
-  cache.Put({2, "s", "dist"}, DummyPlan(), false);
-  cache.EraseStamp(1);  // the after-structural-mutation hook
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get({1, "s", "amp"}), nullptr);
-  EXPECT_EQ(cache.Get({1, "s", "other"}), nullptr);
-  EXPECT_NE(cache.Get({2, "s", "dist"}), nullptr);
-}
-
-TEST(PlanCache, EraseSignatureIsScopedToOneSignature) {
-  PlanCache cache(8);
-  cache.Put({1, "s", "amp"}, DummyPlan(), false);
-  cache.Put({1, "s", "other"}, DummyPlan(), false);
-  cache.Erase(1, "amp");
-  EXPECT_EQ(cache.Get({1, "s", "amp"}), nullptr);
-  EXPECT_NE(cache.Get({1, "s", "other"}), nullptr);
-}
-
-TEST(PlanCache, StampInvalidationAfterStructuralMutation) {
-  // The end-to-end contract: timing-only edits preserve the structure stamp
-  // (their plans stay reachable), structural mutation bumps it (every plan
-  // compiled from the old structure becomes unreachable under the new stamp,
-  // and EraseStamp reclaims the stale ones eagerly).
-  const Trace trace = CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp));
-  const Daydream daydream(trace);
-  PlanCache cache(4);
-
-  DependencyGraph amp = daydream.CloneGraph();
-  WhatIfAmp(&amp);  // timing-only: stamp preserved
-  EXPECT_EQ(amp.structure_stamp(), daydream.graph().structure_stamp());
-
-  DependencyGraph fused = daydream.CloneGraph();
-  WhatIfFusedAdam(&fused);  // removes optimizer tasks: stamp bumped
-  EXPECT_NE(fused.structure_stamp(), daydream.graph().structure_stamp());
-
-  const Simulator simulator;
-  cache.Put({amp.structure_stamp(), "s", "amp"},
-            std::make_shared<const SimPlan>(
-                simulator.Compile(amp, &daydream.baseline_plan())),
-            /*retimed=*/true);
-  cache.Put({fused.structure_stamp(), "s", "fused_adam"},
-            std::make_shared<const SimPlan>(simulator.Compile(fused)),
-            /*retimed=*/false);
-
-  EXPECT_EQ(cache.Get({fused.structure_stamp(), "s", "amp"}), nullptr);
-  cache.EraseStamp(amp.structure_stamp());
-  EXPECT_EQ(cache.Get({amp.structure_stamp(), "s", "amp"}), nullptr);
-  EXPECT_NE(cache.Get({fused.structure_stamp(), "s", "fused_adam"}), nullptr);
-}
 
 // ---- WhatIfRequest signatures ----
 
@@ -141,11 +35,12 @@ TEST(WhatIfRequestSignature, DistinguishesEveryTransformParameter) {
   dist_fast.cluster.network.bandwidth_gbps = 40.0;
   EXPECT_NE(dist.Signature(), dist_fast.Signature());
 
-  // Engine and validate select how the answer is consumed, not which graph
-  // is built — they must share one cached transform.
+  // Engine, validate and sim_jobs select how the answer is computed, not
+  // which question it answers — they must not split the signature.
   WhatIfRequest amp_reference = amp;
   amp_reference.engine = EngineKind::kReference;
   amp_reference.validate = true;
+  amp_reference.sim_jobs = 4;
   EXPECT_EQ(amp.Signature(), amp_reference.Signature());
 }
 
@@ -209,12 +104,13 @@ TEST_F(TraceSessionTest, RepeatedTimingOnlyQueryHitsPlanCacheViaRetime) {
   ASSERT_EQ(session->Predict(request, &first, &error), SessionStatus::kOk) << error;
   ASSERT_EQ(session->Predict(request, &second, &error), SessionStatus::kOk) << error;
 
-  EXPECT_FALSE(first.plan_cache_hit);
-  EXPECT_TRUE(second.plan_cache_hit);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.prediction.predicted, second.prediction.predicted);
 
   // AMP only edits timings, so the miss was filled by retiming the baseline
-  // plan's structure block, never a full CSR compile.
+  // plan's structure block, never a full CSR compile; the repeat simulated
+  // nothing.
   const PlanCacheStats stats = session->plan_cache_stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -232,8 +128,8 @@ TEST_F(TraceSessionTest, StructuralWhatIfCompilesOnceThenHits) {
   std::string error;
   ASSERT_EQ(session->Predict(request, &first, &error), SessionStatus::kOk) << error;
   ASSERT_EQ(session->Predict(request, &second, &error), SessionStatus::kOk) << error;
-  EXPECT_FALSE(first.plan_cache_hit);
-  EXPECT_TRUE(second.plan_cache_hit);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.prediction.predicted, second.prediction.predicted);
   const PlanCacheStats stats = session->plan_cache_stats();
   EXPECT_EQ(stats.compiles, 1u);
@@ -254,7 +150,7 @@ TEST_F(TraceSessionTest, DifferentClustersAreDifferentCacheEntries) {
   std::string error;
   ASSERT_EQ(session->Predict(narrow, &a, &error), SessionStatus::kOk) << error;
   ASSERT_EQ(session->Predict(wide, &b, &error), SessionStatus::kOk) << error;
-  EXPECT_FALSE(b.plan_cache_hit);  // a different question, not a warm hit
+  EXPECT_FALSE(b.cache_hit);  // a different question, not a warm hit
   EXPECT_LE(b.prediction.predicted, a.prediction.predicted);  // 40 Gbps >= 10
 }
 
@@ -270,10 +166,9 @@ TEST_F(TraceSessionTest, TransformCacheEvictionInvalidatesCachedPlans) {
   std::string error;
   ASSERT_EQ(session->Predict(amp, &outcome, &error), SessionStatus::kOk) << error;
   ASSERT_EQ(session->Predict(dist, &outcome, &error), SessionStatus::kOk) << error;
-  // dist evicted amp's transform (capacity 1), which erased amp's plan by
-  // stamp — so the repeat must rebuild instead of serving a stale hit.
+  // dist evicted amp's answer (capacity 1), so the repeat must recompute.
   ASSERT_EQ(session->Predict(amp, &outcome, &error), SessionStatus::kOk) << error;
-  EXPECT_FALSE(outcome.plan_cache_hit);
+  EXPECT_FALSE(outcome.cache_hit);
   const PlanCacheStats stats = session->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 3u);
@@ -291,11 +186,9 @@ TEST_F(TraceSessionTest, PlansDroppedWithAnEvictedTransformCountAsEvictions) {
     request.cluster.machines = machines;
     ASSERT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
   }
-  // The third signature pushed the first transform out, and EraseStamp took
-  // its plan with it: that plan was evicted even though the plan cache itself
-  // never went past capacity.
+  // The third signature pushed the first answer out.
   EXPECT_EQ(session->plan_cache_size(), 2u);
-  EXPECT_GT(session->plan_cache_stats().evictions, 0u);
+  EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
 }
 
 TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
@@ -306,7 +199,7 @@ TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
   PredictOutcome reference, event;
   std::string error;
   ASSERT_EQ(session->Predict(request, &reference, &error), SessionStatus::kOk) << error;
-  EXPECT_FALSE(reference.plan_cache_hit);
+  EXPECT_FALSE(reference.cache_hit);
   EXPECT_EQ(session->plan_cache_size(), 0u);
 
   request.engine = EngineKind::kEvent;
@@ -431,6 +324,235 @@ TEST_F(TraceSessionTest, ConcurrentClientsShareTheCachesSafely) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads * kIterations + requests.size()));
   EXPECT_GE(stats.hits, stats.misses);
+}
+
+// ---- Answer cache ----
+
+// The answer cache's tests run through TraceSession, on the same trace.
+class AnswerCache : public TraceSessionTest {
+ protected:
+  static PredictOutcome Ask(TraceSession* session, const WhatIfRequest& request) {
+    PredictOutcome outcome;
+    std::string error;
+    EXPECT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk) << error;
+    return outcome;
+  }
+
+  static WhatIfRequest Named(const char* what_if) {
+    WhatIfRequest request;
+    request.what_if = what_if;
+    return request;
+  }
+
+  // A 2x2 distributed what-if; integer bandwidths of one digit count give
+  // signatures of one length (and so entries of one size).
+  static WhatIfRequest Distributed(double gbps) {
+    WhatIfRequest request = Named("distributed");
+    request.cluster.machines = 2;
+    request.cluster.gpus_per_machine = 2;
+    request.cluster.network.bandwidth_gbps = gbps;
+    return request;
+  }
+};
+
+TEST_F(AnswerCache, MissThenHitReturnsTheSameAnswer) {
+  std::shared_ptr<TraceSession> session = NewSession();
+  const PredictOutcome first = Ask(session.get(), Distributed(25));
+  const PredictOutcome second = Ask(session.get(), Distributed(25));
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.prediction.baseline, first.prediction.baseline);
+  EXPECT_EQ(second.prediction.predicted, first.prediction.predicted);
+  EXPECT_EQ(second.tasks, first.tasks);
+  EXPECT_EQ(session->plan_cache_size(), 1u);
+}
+
+TEST_F(AnswerCache, KeyIsTheRequestSignature) {
+  std::shared_ptr<TraceSession> session = NewSession();
+  Ask(session.get(), Distributed(10));
+  // sim_jobs is consumption-only: same question, same entry.
+  WhatIfRequest sharded = Distributed(10);
+  sharded.sim_jobs = 2;
+  EXPECT_TRUE(Ask(session.get(), sharded).cache_hit);
+  // Any parameter that shapes the transform is a different question.
+  EXPECT_FALSE(Ask(session.get(), Distributed(40)).cache_hit);
+  WhatIfRequest wider = Distributed(10);
+  wider.cluster.machines = 4;
+  EXPECT_FALSE(Ask(session.get(), wider).cache_hit);
+  EXPECT_EQ(session->plan_cache_size(), 3u);
+}
+
+TEST_F(AnswerCache, EvictsLeastRecentlyUsedPastCapacity) {
+  SessionOptions options;
+  options.plan_cache_capacity = 2;
+  std::shared_ptr<TraceSession> session = NewSession(options);
+  const WhatIfRequest a = Named("amp");
+  const WhatIfRequest b = Named("fused_adam");
+  const WhatIfRequest c = Distributed(10);
+  EXPECT_FALSE(Ask(session.get(), a).cache_hit);
+  EXPECT_FALSE(Ask(session.get(), b).cache_hit);
+  EXPECT_TRUE(Ask(session.get(), a).cache_hit);   // promotes a
+  EXPECT_FALSE(Ask(session.get(), c).cache_hit);  // evicts b, the LRU
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+  EXPECT_TRUE(Ask(session.get(), a).cache_hit);
+  EXPECT_TRUE(Ask(session.get(), c).cache_hit);
+  EXPECT_FALSE(Ask(session.get(), b).cache_hit);  // was evicted; evicts a now
+
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(session->plan_cache_size(), 2u);
+  EXPECT_FALSE(Ask(session.get(), a).cache_hit);
+}
+
+TEST_F(AnswerCache, MissesAreFilledByRetimeOrCompile) {
+  // Timing-only edits keep the baseline structure stamp, so the baseline
+  // plan donates its structure block; structural edits bump the stamp and
+  // pay a full compile.
+  const Daydream daydream(*trace_);
+  DependencyGraph amp = daydream.CloneGraph();
+  WhatIfAmp(&amp);
+  EXPECT_EQ(amp.structure_stamp(), daydream.graph().structure_stamp());
+  DependencyGraph fused = daydream.CloneGraph();
+  WhatIfFusedAdam(&fused);
+  EXPECT_NE(fused.structure_stamp(), daydream.graph().structure_stamp());
+
+  std::shared_ptr<TraceSession> session = NewSession();
+  Ask(session.get(), Named("amp"));
+  PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.retimes, 1u);
+  EXPECT_EQ(stats.compiles, 0u);
+  Ask(session.get(), Named("fused_adam"));
+  Ask(session.get(), Distributed(10));
+  stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.retimes, 1u);
+  EXPECT_EQ(stats.compiles, 2u);
+  // Hits fill nothing.
+  Ask(session.get(), Named("amp"));
+  Ask(session.get(), Named("fused_adam"));
+  stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.retimes + stats.compiles, stats.misses);
+  EXPECT_EQ(stats.hits, 2u);
+}
+
+TEST_F(AnswerCache, ReferenceAndValidateRequestsNeverHit) {
+  std::shared_ptr<TraceSession> session = NewSession();
+  WhatIfRequest reference = Named("amp");
+  reference.engine = EngineKind::kReference;
+  WhatIfRequest validated = Named("amp");
+  validated.validate = true;
+
+  // Neither fills the cache...
+  const PredictOutcome cold_reference = Ask(session.get(), reference);
+  Ask(session.get(), validated);
+  EXPECT_EQ(session->plan_cache_size(), 0u);
+  // ...nor reads it once the event-engine answer is memoized.
+  const PredictOutcome event = Ask(session.get(), Named("amp"));
+  for (const WhatIfRequest& request : {reference, validated}) {
+    const PredictOutcome outcome = Ask(session.get(), request);
+    EXPECT_FALSE(outcome.cache_hit);
+    EXPECT_EQ(outcome.prediction.predicted, event.prediction.predicted);
+  }
+  EXPECT_EQ(cold_reference.prediction.predicted, event.prediction.predicted);
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST_F(AnswerCache, DroppedInsertsLeaveEveryRepeatAMiss) {
+  std::string error;
+  ASSERT_TRUE(FaultInjector::Global().ArmSpec("plan_cache_insert:fail", &error)) << error;
+  std::shared_ptr<TraceSession> session = NewSession();
+  PredictOutcome first;
+  for (int i = 0; i < 3; ++i) {
+    const PredictOutcome outcome = Ask(session.get(), Named("amp"));
+    EXPECT_FALSE(outcome.cache_hit);
+    if (i == 0) {
+      first = outcome;
+    }
+    EXPECT_EQ(outcome.prediction.predicted, first.prediction.predicted);
+  }
+  FaultInjector::Global().Disarm();
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.retimes, 3u);  // each miss was still filled
+  EXPECT_EQ(session->plan_cache_size(), 0u);
+}
+
+TEST_F(AnswerCache, ResidentBytesCountWhatTheSessionHolds) {
+  SessionOptions options;
+  options.plan_cache_capacity = 4;
+  std::shared_ptr<TraceSession> session = NewSession(options);
+  const size_t fresh = NewSession(options)->resident_bytes();
+  EXPECT_EQ(session->resident_bytes(), fresh);
+  // At least the trace and the baseline plan it keeps as the retime donor.
+  EXPECT_GE(fresh, trace_->size() * sizeof(TraceEvent) +
+                       session->daydream().baseline_plan().ResidentBytes());
+
+  for (int gbps = 1; gbps <= 3; ++gbps) {
+    Ask(session.get(), Distributed(gbps));
+  }
+  EXPECT_GT(session->resident_bytes(), fresh);
+
+  Ask(session.get(), Distributed(4));  // the cache is now full
+  const size_t full = session->resident_bytes();
+  EXPECT_GT(full, fresh);
+  for (int gbps = 5; gbps <= 9; ++gbps) {
+    Ask(session.get(), Distributed(gbps));
+  }
+  EXPECT_EQ(session->plan_cache_stats().evictions, 5u);
+  EXPECT_EQ(session->resident_bytes(), full);
+}
+
+TEST_F(AnswerCache, ConcurrentMissesStoreOneEntryPerSignature) {
+  // 8 threads: each asks one shared cold signature, then its own distinct
+  // one, then the shared one again. Every answer equals a fresh session's,
+  // and racing misses on the shared signature leave a single entry.
+  constexpr int kThreads = 8;
+  const WhatIfRequest shared = Distributed(25);
+  std::vector<WhatIfRequest> own;
+  for (int t = 0; t < kThreads; ++t) {
+    own.push_back(Distributed(t + 1));
+  }
+  std::shared_ptr<TraceSession> oracle = NewSession();
+  const TimeNs shared_expected = Ask(oracle.get(), shared).prediction.predicted;
+  std::vector<TimeNs> own_expected;
+  for (const WhatIfRequest& request : own) {
+    own_expected.push_back(Ask(oracle.get(), request).prediction.predicted);
+  }
+
+  std::shared_ptr<TraceSession> session = NewSession();
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const auto& [request, expected] :
+           {std::make_pair(shared, shared_expected),
+            std::make_pair(own[static_cast<size_t>(t)], own_expected[static_cast<size_t>(t)]),
+            std::make_pair(shared, shared_expected)}) {
+        PredictOutcome outcome;
+        std::string error;
+        if (session->Predict(request, &outcome, &error) != SessionStatus::kOk ||
+            outcome.prediction.predicted != expected) {
+          ++failures[static_cast<size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_EQ(session->plan_cache_size(), static_cast<size_t>(kThreads) + 1);
+  const PlanCacheStats stats = session->plan_cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(3 * kThreads));
+  EXPECT_GE(stats.misses, static_cast<uint64_t>(kThreads) + 1);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 // ---- SessionManager ----

@@ -111,8 +111,10 @@ std::optional<std::pair<int, int>> ParseShape(const std::string& shape, std::str
     machines = ParseInt(parts[0]);
     gpus = ParseInt(parts[1]);
   }
-  if (!machines.has_value() || !gpus.has_value() || *machines < 1 || *gpus < 1) {
-    *error = "bad --cluster '" + shape + "' (expected MxG, e.g. 4x2)";
+  if (!machines.has_value() || !gpus.has_value() || *machines < 1 || *gpus < 1 ||
+      *machines > kMaxClusterMachines || *gpus > kMaxGpusPerMachine) {
+    *error = StrFormat("bad --cluster '%s' (expected MxG, e.g. 4x2, with M <= %d and G <= %d)",
+                       shape.c_str(), kMaxClusterMachines, kMaxGpusPerMachine);
     return std::nullopt;
   }
   return std::make_pair(*machines, *gpus);
@@ -193,17 +195,19 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
   flags.enabled = true;
   for (const std::string& text : StrSplit(stages_text, ',')) {
     const std::optional<int> stages = ParseInt(text);
-    if (!stages.has_value() || *stages < 1) {
-      *error = "bad --pipeline-stages '" + stages_text +
-               "' (expected a comma-separated list of positive stage counts)";
+    if (!stages.has_value() || *stages < 1 || *stages > kMaxPipelineStages) {
+      *error = StrFormat(
+          "bad --pipeline-stages '%s' (expected a comma-separated list of stage counts in "
+          "1..%d)",
+          stages_text.c_str(), kMaxPipelineStages);
       return std::nullopt;
     }
     flags.stages.push_back(*stages);
   }
   const std::optional<int> microbatches = ParseInt(args.Get("microbatches", "4"));
-  if (!microbatches.has_value() || *microbatches < 1) {
-    *error = "bad --microbatches '" + args.Get("microbatches") +
-             "' (expected a positive integer)";
+  if (!microbatches.has_value() || *microbatches < 1 || *microbatches > kMaxMicrobatches) {
+    *error = StrFormat("bad --microbatches '%s' (expected an integer in 1..%d)",
+                       args.Get("microbatches").c_str(), kMaxMicrobatches);
     return std::nullopt;
   }
   flags.microbatches = *microbatches;

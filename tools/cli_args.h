@@ -56,9 +56,18 @@ std::string UnknownCommandMessage(const std::string& command);
 std::optional<int> ParseInt(const std::string& text);
 std::optional<double> ParseDouble(const std::string& text);
 
+// Documented maxima of the size flags (shared by the CLI and serve
+// requests). A value past one is malformed input: exit 2 on the CLI, a
+// `bad_request` envelope in serve. They keep every derived product — total
+// GPUs, stages x micro-batches — far from integer overflow.
+constexpr int kMaxClusterMachines = 1024;    // --cluster M
+constexpr int kMaxGpusPerMachine = 64;       // --cluster G
+constexpr int kMaxPipelineStages = 1024;     // --pipeline-stages
+constexpr int kMaxMicrobatches = 1024;       // --microbatches
+
 // Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error
 // (core) or prints a diagnostic to stderr and returns nullopt on malformed
-// input.
+// input, including a shape past kMaxClusterMachines x kMaxGpusPerMachine.
 std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error);
 std::optional<ClusterConfig> ParseCluster(const Args& args);
 
@@ -75,8 +84,9 @@ std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std
 std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args);
 
 // Pipeline-parallel what-if flags:
-//   --pipeline-stages N[,N...]   stage counts to evaluate (each >= 1)
-//   --microbatches M             micro-batches per iteration (default 4)
+//   --pipeline-stages N[,N...]   stage counts to evaluate (1..kMaxPipelineStages)
+//   --microbatches M             micro-batches per iteration (default 4;
+//                                1..kMaxMicrobatches)
 //   --schedule gpipe|1f1b|both   schedule kind(s) (default both)
 // The first --gbps value (shared with the cluster flags; default 10) prices
 // the inter-stage P2P links, so pipeline and distributed cases rank under
