@@ -577,20 +577,19 @@ int Main(int argc, char** argv) {
   // exercises both plan paths — `amp` is timing-only (retimes the shared
   // structure), the distributed cases are structural (full compile).
   std::vector<SweepCase> sweep_cases;
-  sweep_cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }, nullptr});
+  sweep_cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }});
   for (const double gbps : {10.0, 25.0, 40.0}) {
     DistributedWhatIf opts = dist;
     opts.cluster.network.bandwidth_gbps = gbps;
     sweep_cases.push_back({StrFormat("distributed 4x4 @ %.0f Gbps", gbps),
                            [&trace, opts](DependencyGraph* g) {
                              WhatIfDistributed(g, trace.gradients(), opts);
-                           },
-                           nullptr});
+                           }});
   }
-  // The sweep's baseline is the *untransformed* cluster's makespan (the
-  // dispatch graph above already carries the distributed what-if).
-  const TimeNs cluster_baseline = Simulator().Run(cluster).makespan;
-  const SweepRunner sweep_runner(cluster, cluster_baseline);
+  // The sweep's baseline is the *untransformed* cluster (the dispatch graph
+  // above already carries the distributed what-if), adopted without a trace.
+  const Daydream cluster_daydream(Trace{}, std::move(cluster));
+  const SweepRunner sweep_runner(cluster_daydream);
   const double sweep_ms = MeasureMs([&] { sweep_runner.Run(sweep_cases); }, 1, 3, 1.0);
   const double sweep_cases_per_sec =
       static_cast<double>(sweep_cases.size()) / (sweep_ms / 1e3);

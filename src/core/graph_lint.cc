@@ -27,6 +27,14 @@ const LintFinding* LintReport::FirstError() const {
   return nullptr;
 }
 
+void LintReport::Append(const LintReport& other) {
+  findings.insert(findings.end(), other.findings.begin(), other.findings.end());
+  passes_run.insert(passes_run.end(), other.passes_run.begin(), other.passes_run.end());
+  truncated = truncated || other.truncated;
+  num_errors += other.num_errors;
+  num_warnings += other.num_warnings;
+}
+
 std::string LintReport::Summary() const {
   if (num_errors == 0 && num_warnings == 0) {
     return StrFormat("clean, %zu passes", passes_run.size());

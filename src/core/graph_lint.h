@@ -65,8 +65,12 @@
 // Entry points:
 //   - DependencyGraph::Validate() routes through LintStructure (structural
 //     passes only) and reports the first error,
-//   - SweepRunner lints every transformed case (full pass set in strict
-//     mode — SweepOptions::validate / `daydream sweep --validate`),
+//   - the what-if pipeline (Daydream::Prepare, behind Daydream::Predict,
+//     TraceSession's predict and lint, and SweepRunner) lints every
+//     transformed graph: the structural passes, or, when validating
+//     (`--validate`, `daydream lint`, Debug builds of Daydream::Predict), the
+//     full catalog plus the plan passes and, for a sharded dispatch, the
+//     shard passes,
 //   - `daydream lint` exposes the full catalog on the CLI (--json for
 //     machine-readable findings),
 //   - planners prune broken candidates via LintGraph().ok().
@@ -118,6 +122,9 @@ struct LintReport {
   int errors() const { return num_errors; }
   int warnings() const { return num_warnings; }
   const LintFinding* FirstError() const;
+  // Adds another report's passes and findings (graph passes, then the plan
+  // passes run against that graph).
+  void Append(const LintReport& other);
 
   // "clean, 9 passes" / "3 errors, 1 warning (9 passes)".
   std::string Summary() const;

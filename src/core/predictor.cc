@@ -2,10 +2,16 @@
 
 #include <utility>
 
-#include "src/core/graph_lint.h"
 #include "src/util/logging.h"
 
 namespace daydream {
+
+const char* WhatIfStatusPhrase(WhatIfStatus status) {
+  static const char* const kPhrases[] = {  // in WhatIfStatus order
+      "succeeded", "produced an invalid graph", "fails lint", "compiled an inconsistent plan",
+      "compiled an inconsistent shard plan", "ran past its deadline"};
+  return kPhrases[static_cast<int>(status)];
+}
 
 double PredictionResult::SpeedupPct() const {
   if (baseline == 0) {
@@ -45,39 +51,92 @@ void Daydream::InitBaseline() {
 
 TimeNs Daydream::BaselineSimTime() const { return baseline_sim_; }
 
-PredictionResult Daydream::Predict(const std::function<void(DependencyGraph*)>& transform,
-                                   std::shared_ptr<Scheduler> scheduler, EngineKind engine) const {
-  DependencyGraph transformed = graph_.Clone();
-  transform(&transformed);
+PredictionResult Daydream::Predict(const std::function<void(DependencyGraph*)>& transform) const {
+  WhatIfOptions options;
 #ifndef NDEBUG
-  // Debug/test builds hold every what-if output to the full lint catalog —
-  // timing passes included — so a transform that wires an anchor backward
-  // across iterations fails here, naming the edge, not as a wrong prediction.
-  const LintReport report = GraphLint::LintGraph(transformed);
-  DD_CHECK(report.ok()) << "what-if transform produced a graph that fails lint:\n"
-                        << report.ToString();
+  options.validate = true;
 #endif
-  return Evaluate(transformed, std::move(scheduler), engine);
-}
-
-PredictionResult Daydream::Evaluate(const DependencyGraph& transformed,
-                                    std::shared_ptr<Scheduler> scheduler,
-                                    EngineKind engine) const {
-  std::string error;
-  DD_CHECK(transformed.Validate(&error)) << "transformed graph invalid: " << error;
-  const Simulator simulator =
-      scheduler == nullptr ? Simulator(std::make_shared<EarliestStartScheduler>(), engine)
-                           : Simulator(std::move(scheduler), engine);
+  PreparedWhatIf prepared;
+  LintReport report;
   PredictionResult result;
   result.baseline = baseline_sim_;
-  if (engine == EngineKind::kEvent && simulator.scheduler()->comparator_based()) {
-    // A clone whose transform only edited timings retimes the baseline plan
-    // (shared structure block) instead of recompiling the CSR arrays.
-    result.predicted = simulator.Compile(transformed, &baseline_plan_).Run().makespan;
-  } else {
-    result.predicted = simulator.Run(transformed).makespan;
+  WhatIfStatus status = Prepare(transform, options, &prepared, &report);
+  if (status == WhatIfStatus::kOk) {
+    status = Dispatch(prepared, options, nullptr, &result.predicted);
   }
+  DD_CHECK(status == WhatIfStatus::kOk)
+      << "what-if transform " << WhatIfStatusPhrase(status) << ":\n" << report.ToString();
   return result;
+}
+
+WhatIfStatus Daydream::Prepare(const std::function<void(DependencyGraph*)>& transform,
+                               const WhatIfOptions& options, PreparedWhatIf* prepared,
+                               LintReport* report) const {
+  // The baseline graph supports concurrent const access, so concurrent
+  // what-ifs clone it without a lock.
+  DependencyGraph graph = graph_.Clone();
+  if (transform) {
+    transform(&graph);
+  }
+  // Lint before anyone compiles this graph: SimPlan::Compile DD_CHECKs on a
+  // broken structure, and a daemon must refuse, not abort.
+  if (options.validate) {
+    *report = GraphLint::LintGraph(graph);
+    if (!report->ok()) {
+      return WhatIfStatus::kFailsLint;
+    }
+  } else {
+    *report = GraphLint::LintStructure(graph);
+    if (!report->ok()) {
+      return WhatIfStatus::kInvalidGraph;
+    }
+  }
+  if (options.deadline.Expired()) {
+    return WhatIfStatus::kDeadlineExceeded;
+  }
+  prepared->tasks = graph.num_alive();
+  // Timing-only transforms leave the baseline structure stamp intact, so the
+  // baseline plan donates its structure block; anything else pays the full
+  // CSR compile.
+  const EarliestStartScheduler scheduler;
+  prepared->retimed = baseline_plan_.CompatibleWith(graph);
+  prepared->plan = prepared->retimed ? SimPlan::Retime(baseline_plan_, graph, scheduler)
+                                     : SimPlan::Compile(graph, scheduler);
+  if (options.validate) {
+    // The plan (and shard) findings join the graph's in one report.
+    const LintReport plan_report = GraphLint::LintPlan(prepared->plan, graph);
+    report->Append(plan_report);
+    if (!plan_report.ok()) {
+      return WhatIfStatus::kInconsistentPlan;
+    }
+    if (options.sim_jobs > 1) {
+      // Sharded dispatch trusts the partition/window metadata blindly. This
+      // shard plan exists for the lint only: Dispatch rebuilds its own
+      // against the plan's final address.
+      const LintReport shard_report =
+          GraphLint::LintShards(ShardPlan::Compile(prepared->plan, options.sim_jobs));
+      report->Append(shard_report);
+      if (!shard_report.ok()) {
+        return WhatIfStatus::kInconsistentShards;
+      }
+    }
+  }
+  return WhatIfStatus::kOk;
+}
+
+WhatIfStatus Daydream::Dispatch(const PreparedWhatIf& prepared, const WhatIfOptions& options,
+                                ThreadPool* pool, TimeNs* predicted) {
+  if (options.sim_jobs <= 1) {
+    *predicted = prepared.plan.Run().makespan;
+    return WhatIfStatus::kOk;
+  }
+  // The sharded engine checks the deadline between synchronization horizons
+  // — the only dispatch path with a cooperative mid-run exit.
+  bool deadline_hit = false;
+  *predicted =
+      RunPlanParallel(prepared.plan, options.sim_jobs, pool, &options.deadline, &deadline_hit)
+          .makespan;
+  return deadline_hit ? WhatIfStatus::kDeadlineExceeded : WhatIfStatus::kOk;
 }
 
 }  // namespace daydream

@@ -112,22 +112,18 @@ bool PriorityCommScheduler::StaticPlanKey(const Task& task, uint32_t* key) const
 
 Simulator::Simulator() : scheduler_(std::make_shared<EarliestStartScheduler>()) {}
 
-Simulator::Simulator(std::shared_ptr<Scheduler> scheduler, EngineKind engine)
-    : scheduler_(std::move(scheduler)), engine_(engine) {
+Simulator::Simulator(std::shared_ptr<Scheduler> scheduler) : scheduler_(std::move(scheduler)) {
   DD_CHECK(scheduler_ != nullptr);
 }
 
 SimResult Simulator::Run(const DependencyGraph& graph) const {
-  if (engine_ == EngineKind::kEvent && scheduler_->comparator_based()) {
+  if (scheduler_->comparator_based()) {
     return SimPlan::Compile(graph, *scheduler_).Run();
   }
   return RunReference(graph);
 }
 
-SimPlan Simulator::Compile(const DependencyGraph& graph, const SimPlan* donor) const {
-  if (donor != nullptr && donor->CompatibleWith(graph)) {
-    return SimPlan::Retime(*donor, graph, *scheduler_);
-  }
+SimPlan Simulator::Compile(const DependencyGraph& graph) const {
   return SimPlan::Compile(graph, *scheduler_);
 }
 

@@ -129,22 +129,14 @@ class PriorityCommScheduler : public Scheduler {
   bool StaticPlanKey(const Task& task, uint32_t* key) const override;
 };
 
-// Which engine a Simulator (or the CLI's --engine flag) drives.
-//   kEvent:     compiled-plan event engine when the scheduler supports it,
-//               reference otherwise (the default).
-//   kReference: always the literal Algorithm-1 scan — the differential-
-//               debugging path (`--engine=reference`).
-enum class EngineKind { kEvent, kReference };
-
 class Simulator {
  public:
   Simulator();
-  explicit Simulator(std::shared_ptr<Scheduler> scheduler,
-                     EngineKind engine = EngineKind::kEvent);
+  explicit Simulator(std::shared_ptr<Scheduler> scheduler);
 
   // Simulates `graph`: compiled-plan event engine when the scheduler supports
-  // it (and the engine kind allows), reference engine otherwise. Both produce
-  // identical SimResults for the built-in schedulers.
+  // it, reference engine otherwise. Both produce identical SimResults for the
+  // built-in schedulers.
   SimResult Run(const DependencyGraph& graph) const;
 
   // Literal Algorithm-1 transcription (O(F) frontier scan per dispatch).
@@ -152,18 +144,15 @@ class Simulator {
   SimResult RunReference(const DependencyGraph& graph) const;
 
   // Freezes `graph` into an immutable plan for this simulator's scheduler
-  // (requires scheduler()->comparator_based()). `donor` optionally shares a
-  // previously compiled plan: when `graph` is structurally unchanged since
-  // the donor was compiled (DependencyGraph::structure_stamp()), only the
-  // timing/key arrays are rebuilt and the CSR structure block is reused.
-  SimPlan Compile(const DependencyGraph& graph, const SimPlan* donor = nullptr) const;
+  // (requires scheduler()->comparator_based()). Reusing a compiled plan's
+  // structure for a timing-only what-if is SimPlan::Retime, which the what-if
+  // pipeline (Daydream::Prepare) picks.
+  SimPlan Compile(const DependencyGraph& graph) const;
 
   const std::shared_ptr<Scheduler>& scheduler() const { return scheduler_; }
-  EngineKind engine() const { return engine_; }
 
  private:
   std::shared_ptr<Scheduler> scheduler_;
-  EngineKind engine_ = EngineKind::kEvent;
 };
 
 }  // namespace daydream

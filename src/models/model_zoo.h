@@ -13,6 +13,7 @@
 #ifndef SRC_MODELS_MODEL_ZOO_H_
 #define SRC_MODELS_MODEL_ZOO_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,9 @@ enum class ModelId {
 };
 
 const char* ModelName(ModelId id);
+// The inverse of ModelName; nullopt for a name outside the zoo (a trace
+// whose layer-structured what-ifs cannot be resolved).
+std::optional<ModelId> LookupModel(const std::string& name);
 std::vector<ModelId> AllModels();
 // The paper's evaluation set (Table 2): AllModels() without TinyMLP. Tests
 // that assert paper-scale magnitudes (iteration times, accuracy bounds,

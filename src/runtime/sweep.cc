@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/core/graph_lint.h"
 #include "src/core/optimizations/optimizations.h"
 #include "src/models/model_zoo.h"
 #include "src/trace/chrome_trace.h"  // JsonEscape
@@ -20,106 +19,48 @@
 
 namespace daydream {
 
+// One case through the prepare stage.
+struct SweepRunner::Prepared {
+  size_t index = 0;
+  PreparedWhatIf what_if;
+};
+
+SweepRunner::SweepRunner(const Daydream& daydream, SweepOptions options)
+    : daydream_(daydream), options_(options) {}
+
 namespace {
 
-std::optional<ModelId> LookupModel(const std::string& name) {
-  for (ModelId id : AllModels()) {
-    if (name == ModelName(id)) {
-      return id;
-    }
-  }
-  return std::nullopt;
+WhatIfOptions CaseOptions(const SweepOptions& options) {
+  WhatIfOptions what_if;
+  what_if.validate = options.validate;
+  what_if.sim_jobs = options.sim_jobs;
+  return what_if;
 }
 
 }  // namespace
 
-// One case through the prepare stage. Exactly one of `plan` / `graph` is
-// live: the compiled-engine path frees the transformed clone as soon as its
-// plan exists, the reference path keeps the graph (and its scheduler) for
-// Simulate.
-struct SweepRunner::Prepared {
-  size_t index = 0;
-  int tasks = 0;
-  SimPlan plan;
-  std::unique_ptr<DependencyGraph> graph;
-  std::shared_ptr<Scheduler> scheduler;
-};
-
-SweepRunner::SweepRunner(const Daydream& daydream, SweepOptions options)
-    : baseline_graph_(&daydream.graph()),
-      baseline_sim_(daydream.BaselineSimTime()),
-      baseline_plan_(&daydream.baseline_plan()),
-      options_(options) {}
-
-SweepRunner::SweepRunner(const DependencyGraph& baseline, TimeNs baseline_sim,
-                         SweepOptions options)
-    : baseline_graph_(&baseline), baseline_sim_(baseline_sim), options_(options) {
-  // A reference-engine run never touches a plan; don't pay the cluster-scale
-  // compile for it.
-  if (options_.engine == EngineKind::kEvent) {
-    owned_plan_ = Simulator().Compile(baseline);
-  }
-  baseline_plan_ = &owned_plan_;
-}
-
 SweepRunner::Prepared SweepRunner::Prepare(const SweepCase& sweep_case, size_t index) const {
   Prepared prepared;
   prepared.index = index;
-  auto transformed = std::make_unique<DependencyGraph>(baseline_graph_->Clone());
-  if (sweep_case.transform) {
-    sweep_case.transform(transformed.get());
-  }
-  // Structural verification is non-negotiable — a malformed graph aborts
-  // deep inside the engine with no context. --validate escalates to the full
-  // lint catalog (timing + smell passes) and reports every finding at once.
-  const LintReport report = options_.validate ? GraphLint::LintGraph(*transformed)
-                                              : GraphLint::LintStructure(*transformed);
-  DD_CHECK(report.ok()) << "sweep case '" << sweep_case.name
-                        << "' produced an invalid graph:\n"
-                        << report.ToString();
-  prepared.tasks = transformed->num_alive();
-
-  std::shared_ptr<Scheduler> scheduler = sweep_case.scheduler != nullptr
-                                             ? sweep_case.scheduler
-                                             : std::make_shared<EarliestStartScheduler>();
-  if (options_.engine == EngineKind::kEvent && scheduler->comparator_based()) {
-    // Timing-only cases retime the shared baseline plan (structure block
-    // reused); structural cases pay a full compile of their own plan.
-    prepared.plan = Simulator(scheduler).Compile(*transformed, baseline_plan_);
-    if (options_.validate) {
-      const LintReport plan_report = GraphLint::LintPlan(prepared.plan, *transformed);
-      DD_CHECK(plan_report.ok()) << "sweep case '" << sweep_case.name
-                                 << "' compiled an inconsistent plan:\n"
-                                 << plan_report.ToString();
-      if (options_.sim_jobs > 1) {
-        // Sharded dispatch trusts the partition/window metadata blindly;
-        // strict mode verifies it per case. The lint-only shard plan is
-        // rebuilt by Simulate (it must reference the plan's final address).
-        const ShardPlan shards = ShardPlan::Compile(prepared.plan, options_.sim_jobs);
-        const LintReport shard_report = GraphLint::LintShards(shards);
-        DD_CHECK(shard_report.ok()) << "sweep case '" << sweep_case.name
-                                    << "' compiled an inconsistent shard plan:\n"
-                                    << shard_report.ToString();
-      }
-    }
-    // The plan is self-contained: release the clone before simulating so a
-    // prepared-but-unsimulated case holds plan-sized, not graph-sized, memory.
-    transformed.reset();
-  } else {
-    prepared.graph = std::move(transformed);
-    prepared.scheduler = std::move(scheduler);
-  }
+  LintReport report;
+  const WhatIfStatus status =
+      daydream_.Prepare(sweep_case.transform, CaseOptions(options_), &prepared.what_if, &report);
+  // A malformed graph would abort deep inside the engine with no context;
+  // abort here instead, naming the case. --validate reports every finding
+  // of the full catalog at once.
+  DD_CHECK(status == WhatIfStatus::kOk)
+      << "sweep case '" << sweep_case.name << "' "
+      << WhatIfStatusPhrase(status == WhatIfStatus::kFailsLint ? WhatIfStatus::kInvalidGraph
+                                                               : status)
+      << ":\n"
+      << report.ToString();
   return prepared;
 }
 
-TimeNs SweepRunner::Simulate(Prepared* prepared, ThreadPool* pool) const {
-  if (prepared->graph == nullptr) {
-    if (options_.sim_jobs > 1) {
-      return RunPlanParallel(prepared->plan, options_.sim_jobs, pool).makespan;
-    }
-    return prepared->plan.Run().makespan;
-  }
-  return Simulator(prepared->scheduler, EngineKind::kReference).Run(*prepared->graph).makespan;
+TimeNs SweepRunner::Simulate(const Prepared& prepared, ThreadPool* pool) const {
+  TimeNs predicted = 0;
+  Daydream::Dispatch(prepared.what_if, CaseOptions(options_), pool, &predicted);
+  return predicted;
 }
 
 std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
@@ -150,9 +91,9 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
   auto record = [&](Prepared* prepared, const SweepCase& sweep_case) {
     SweepOutcome& out = outcomes[prepared->index];
     out.name = sweep_case.name;
-    out.tasks = prepared->tasks;
-    out.prediction.baseline = baseline_sim_;
-    out.prediction.predicted = Simulate(prepared, shard_pool.get());
+    out.tasks = prepared->what_if.tasks;
+    out.prediction.baseline = daydream_.BaselineSimTime();
+    out.prediction.predicted = Simulate(*prepared, shard_pool.get());
   };
 
   int workers = std::clamp(budget / sim_jobs, 1, static_cast<int>(cases.size()));
@@ -249,18 +190,18 @@ std::vector<SweepOutcome> SweepRunner::Run(const std::vector<SweepCase>& cases,
 std::vector<SweepCase> BuildStandardSweep(const Trace& trace,
                                           const std::vector<ClusterConfig>& clusters) {
   std::vector<SweepCase> cases;
-  cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }, nullptr});
-  cases.push_back({"fused_adam", [](DependencyGraph* g) { WhatIfFusedAdam(g); }, nullptr});
+  cases.push_back({"amp", [](DependencyGraph* g) { WhatIfAmp(g); }});
+  cases.push_back({"fused_adam", [](DependencyGraph* g) { WhatIfFusedAdam(g); }});
 
   if (const std::optional<ModelId> model_id = LookupModel(trace.model_name())) {
     // One shared immutable model graph serves all layer-structured cases.
     auto model = std::make_shared<const ModelGraph>(BuildModel(*model_id));
     cases.push_back(
-        {"rbn", [model](DependencyGraph* g) { WhatIfRestructuredBatchnorm(g, *model); }, nullptr});
+        {"rbn", [model](DependencyGraph* g) { WhatIfRestructuredBatchnorm(g, *model); }});
     cases.push_back(
-        {"metaflow", [model](DependencyGraph* g) { WhatIfMetaFlowFuseConvBn(g, *model); }, nullptr});
-    cases.push_back({"gist", [model](DependencyGraph* g) { WhatIfGist(g, *model); }, nullptr});
-    cases.push_back({"vdnn", [model](DependencyGraph* g) { WhatIfVdnn(g, *model); }, nullptr});
+        {"metaflow", [model](DependencyGraph* g) { WhatIfMetaFlowFuseConvBn(g, *model); }});
+    cases.push_back({"gist", [model](DependencyGraph* g) { WhatIfGist(g, *model); }});
+    cases.push_back({"vdnn", [model](DependencyGraph* g) { WhatIfVdnn(g, *model); }});
   }
 
   if (!clusters.empty()) {
@@ -271,8 +212,7 @@ std::vector<SweepCase> BuildStandardSweep(const Trace& trace,
       cases.push_back({"distributed " + cluster.Label(),
                        [gradients, opts](DependencyGraph* g) {
                          WhatIfDistributed(g, *gradients, opts);
-                       },
-                       nullptr});
+                       }});
     }
   }
   return cases;
@@ -298,8 +238,7 @@ bool AppendPipelineSweep(std::vector<SweepCase>* cases, const Trace& trace,
       opts.network = spec.network;
       cases->push_back({StrFormat("pipeline %dst/%dmb %s", stages, spec.microbatches,
                                   ToString(kind)),
-                        [model, opts](DependencyGraph* g) { WhatIfPipeline(g, *model, opts); },
-                        nullptr});
+                        [model, opts](DependencyGraph* g) { WhatIfPipeline(g, *model, opts); }});
     }
   }
   return true;

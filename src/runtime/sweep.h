@@ -3,20 +3,14 @@
 // A SweepRunner evaluates a matrix of optimization × cluster configurations
 // against one parsed trace. The expensive per-trace work (parsing, dependency
 // graph construction, baseline simulation, baseline plan compilation) happens
-// exactly once, in the shared Daydream instance. Each sweep case is then a
-// two-stage pipeline job:
-//
-//   prepare:  clone the baseline graph, apply the transformation, freeze the
-//             result into a SimPlan. Timing-only transformations (duration /
-//             gap / priority edits — AMP-style scaling) retime the shared
-//             baseline plan instead of recompiling its CSR structure
-//             (DependencyGraph::structure_stamp() certifies this).
-//   simulate: dispatch the compiled plan. The source clone is released as
-//             soon as the plan exists, so a prepared case holds plan-sized
-//             memory, not graph-sized memory.
+// exactly once, in the shared Daydream instance. Each case then runs
+// Daydream's two what-if stages (src/core/predictor.h) as a pipeline job:
+// Prepare (clone, transform, lint, compile or retime; the clone is released
+// as soon as the plan exists, so a prepared case holds plan-sized memory)
+// and Dispatch.
 //
 // Workers interleave the two stages from a shared queue with a bounded number
-// of prepared-but-unsimulated cases in flight: a case's clone+transform
+// of prepared-but-undispatched cases in flight: a case's clone+transform
 // overlaps other cases' simulations instead of serializing in front of its
 // own, which is what makes wide sweep matrices approach full-machine
 // throughput (§7.1's workflow: the profile is collected once, and every
@@ -38,12 +32,11 @@ namespace daydream {
 
 class ThreadPool;
 
-// One cell of the sweep matrix: a named graph transformation plus an optional
-// scheduler override (null = the default EarliestStart policy).
+// One cell of the sweep matrix: a named graph transformation (null = the
+// baseline itself).
 struct SweepCase {
   std::string name;
   std::function<void(DependencyGraph*)> transform;
-  std::shared_ptr<Scheduler> scheduler;
 };
 
 struct SweepOutcome {
@@ -64,10 +57,6 @@ struct SweepOptions {
   // Worth > 1 only when the matrix is narrower than the machine — at full
   // case-width, case-level parallelism already saturates every core.
   int sim_jobs = 1;
-  // Simulation engine per case; kReference is the differential-debugging
-  // path (`daydream sweep --engine=reference`). Cases whose scheduler is not
-  // comparator-based run on the reference engine regardless.
-  EngineKind engine = EngineKind::kEvent;
   // Strict verification (`daydream sweep --validate`): every transformed
   // graph runs the full GraphLint catalog (timing + smell passes, not just
   // the structural set) and every compiled plan is linted against its graph
@@ -84,19 +73,10 @@ class SweepRunner {
  public:
   // Keeps a reference to `daydream` (graph, baseline simulation and baseline
   // plan); the caller must keep it alive for the runner's lifetime. All
-  // concurrent access to it is read-only.
+  // concurrent access to it is read-only. A graph built without a trace (a
+  // benchmark's replicated cluster) sweeps through Daydream's adopting
+  // constructor.
   explicit SweepRunner(const Daydream& daydream, SweepOptions options = SweepOptions{});
-
-  // Benchmark/testing entry: sweep over a pre-built baseline graph without
-  // the trace machinery. `baseline_sim` is the makespan reported as every
-  // outcome's baseline; the baseline plan is compiled here, once.
-  SweepRunner(const DependencyGraph& baseline, TimeNs baseline_sim,
-              SweepOptions options = SweepOptions{});
-
-  // Non-copyable/movable: baseline_plan_ may point into owned_plan_, and the
-  // runner references caller-owned state anyway.
-  SweepRunner(const SweepRunner&) = delete;
-  SweepRunner& operator=(const SweepRunner&) = delete;
 
   // Evaluates every case (concurrently when options.num_threads != 1);
   // outcomes are returned in case order. When options.deadline expires the
@@ -112,12 +92,9 @@ class SweepRunner {
 
   Prepared Prepare(const SweepCase& sweep_case, size_t index) const;
   // `pool` is the shared shard-dispatch pool (null when sim_jobs <= 1).
-  TimeNs Simulate(Prepared* prepared, ThreadPool* pool) const;
+  TimeNs Simulate(const Prepared& prepared, ThreadPool* pool) const;
 
-  const DependencyGraph* baseline_graph_;
-  TimeNs baseline_sim_;
-  const SimPlan* baseline_plan_;  // Daydream's, or owned_plan_
-  SimPlan owned_plan_;
+  const Daydream& daydream_;
   SweepOptions options_;
 };
 

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/optimizations/p3.h"
-#include "src/models/model_zoo.h"
 #include "src/service/version.h"
 #include "src/trace/chrome_trace.h"
 #include "src/trace/trace_io.h"
@@ -98,14 +96,14 @@ std::string ErrorResponse(const std::optional<std::string>& id, const std::strin
 // Lowers a request's extra fields onto the CLI flag map so the serve
 // protocol and the command line share one parsing path (tools/cli_args.h):
 // `what_if` → --what-if, numbers keep their source token, `true` booleans
-// become presence. Transport-level fields (id/verb/session/trace) are not
-// flags.
+// become presence. Transport-level fields (id/verb/session/timeout_ms) are
+// not flags. Every other field must be one the verb takes (UnknownFlagError);
+// `false` and null fields are dropped first, as they set nothing.
 Args RequestToArgs(const JsonObject& request, const std::string& verb) {
   Args args;
   args.command = verb;
   for (const auto& [key, value] : request.fields()) {
-    if (key == "id" || key == "verb" || key == "session" || key == "trace" || key == "format" ||
-        key == "cache_capacity" || key == "timeout_ms") {
+    if (key == "id" || key == "verb" || key == "session" || key == "timeout_ms") {
       continue;
     }
     std::string name = key;
@@ -416,6 +414,11 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
   }
 
   const Args args = RequestToArgs(*request, verb);
+  const std::string unknown_field = UnknownFlagError(args, FlagStyle::kServe);
+  if (!unknown_field.empty()) {
+    response.line = ErrorResponse(id, "bad_request", unknown_field);
+    return response;
+  }
 
   if (verb == "predict") {
     WhatIfRequest what_if;
@@ -428,22 +431,11 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
       // P3 is not a graph transform — it reports its own metric (the
       // steady-state parameter-server iteration), so it bypasses the answer
       // cache and the session's transform machinery entirely.
-      if (!session->model_id().has_value()) {
-        response.line = ErrorResponse(id, "bad_request", "trace lacks a known model name");
-        return response;
-      }
-      // PredictPsIterationTime aborts on anything but a 2-iteration profile;
-      // the daemon must refuse with an envelope instead.
-      if (!CheckPsProfile(session->daydream(), &error)) {
+      TimeNs predicted = 0;
+      if (session->PredictP3(what_if, &predicted, &error) != SessionStatus::kOk) {
         response.line = ErrorResponse(id, "bad_request", error);
         return response;
       }
-      PsWhatIf opts;
-      opts.network = what_if.cluster.network;
-      opts.num_servers = what_if.cluster.machines;
-      const ModelGraph model =
-          BuildModel(*session->model_id(), DefaultBatch(*session->model_id()));
-      const TimeNs predicted = PredictPsIterationTime(session->daydream(), model, opts);
       ResponseWriter writer = BeginResponse(id, /*ok=*/true);
       writer.AddString("what_if", "p3");
       writer.AddMs("p3_iteration_ms", predicted);
@@ -514,57 +506,17 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
 
   if (verb == "sweep") {
     std::string error;
-    const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, &error);
-    if (!clusters.has_value()) {
+    SweepRequest sweep;
+    if (!ParseSweepRequest(args, session->trace(), default_sim_jobs_, FlagStyle::kServe, &sweep,
+                           &error)) {
       response.line = ErrorResponse(id, "bad_request", error);
       return response;
     }
-    const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
-    if (!jobs.has_value() || *jobs < 0) {
-      response.line = ErrorResponse(
-          id, "bad_request",
-          "bad jobs '" + args.Get("jobs") + "' (expected a non-negative integer)");
-      return response;
-    }
-    const std::optional<EngineKind> engine = ParseEngineKind(args, &error);
-    if (!engine.has_value()) {
-      response.line = ErrorResponse(id, "bad_request", error);
-      return response;
-    }
-    const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, &error);
-    if (!pipeline.has_value()) {
-      response.line = ErrorResponse(id, "bad_request", error);
-      return response;
-    }
-    std::vector<SweepCase> cases = BuildStandardSweep(session->trace(), *clusters);
-    if (pipeline->enabled) {
-      PipelineSweepSpec spec;
-      spec.stages = pipeline->stages;
-      spec.microbatches = pipeline->microbatches;
-      spec.schedules = pipeline->schedules;
-      spec.network = pipeline->network;
-      if (!AppendPipelineSweep(&cases, session->trace(), spec)) {
-        response.line = ErrorResponse(
-            id, "bad_request", "trace lacks a known model name (needed for pipeline_stages)");
-        return response;
-      }
-    }
-    const std::optional<int> sim_jobs =
-        ParseInt(args.Get("sim-jobs", StrFormat("%d", default_sim_jobs_)));
-    if (!sim_jobs.has_value() || *sim_jobs < 1) {
-      response.line = ErrorResponse(
-          id, "bad_request",
-          "bad sim_jobs '" + args.Get("sim-jobs") + "' (expected a positive integer)");
-      return response;
-    }
-    SweepOptions options;
-    options.num_threads = *jobs;
-    options.engine = *engine;
-    options.validate = args.Has("validate");
-    options.sim_jobs = std::clamp(*sim_jobs, 1, sim_jobs_cap_);
-    options.deadline = deadline;
+    sweep.options.sim_jobs = std::clamp(sweep.options.sim_jobs, 1, sim_jobs_cap_);
+    sweep.options.deadline = deadline;
     bool sweep_expired = false;
-    std::vector<SweepOutcome> outcomes = session->Sweep(cases, options, &sweep_expired);
+    std::vector<SweepOutcome> outcomes =
+        session->Sweep(sweep.cases, sweep.options, &sweep_expired);
     if (sweep_expired) {
       counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
       response.line = ErrorResponse(id, "deadline_exceeded",

@@ -9,21 +9,13 @@
 #include "src/core/graph_builder.h"
 #include "src/core/layer_report.h"
 #include "src/core/optimizations/optimizations.h"
+#include "src/core/optimizations/p3.h"
 #include "src/util/fault.h"
 #include "src/util/string_util.h"
 
 namespace daydream {
 
 namespace {
-
-std::optional<ModelId> LookupModel(const std::string& name) {
-  for (ModelId id : AllModels()) {
-    if (name == ModelName(id)) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
 
 std::string NetworkSignature(const NetworkSpec& network) {
   return StrFormat("%.17g/%lld/%.17g/%lld", network.bandwidth_gbps,
@@ -34,9 +26,9 @@ std::string NetworkSignature(const NetworkSpec& network) {
 }  // namespace
 
 std::string WhatIfRequest::Signature() const {
-  // Only parameters that shape the transform belong here: engine/validate/
-  // sim_jobs select how a transformed graph is consumed, not what it is, and
-  // must not fragment the answer cache.
+  // Only parameters that shape the transform belong here: validate/sim_jobs
+  // select how a transformed graph is consumed, not what it is, and must not
+  // fragment the answer cache.
   if (what_if == "distributed") {
     return StrFormat("distributed:%dx%d:%s", cluster.machines, cluster.gpus_per_machine,
                      NetworkSignature(cluster.network).c_str());
@@ -214,7 +206,7 @@ size_t TraceSession::resident_bytes() const {
 
 SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome* outcome,
                                     std::string* error, const Deadline& deadline) {
-  const bool memoize = request.engine == EngineKind::kEvent && !request.validate;
+  const bool memoize = !request.validate;
   const std::string signature = memoize ? request.Signature() : std::string();
   outcome->cache_hit = false;
   if (memoize && FindAnswer(signature, outcome)) {
@@ -226,77 +218,60 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
   if (resolved != SessionStatus::kOk) {
     return resolved;
   }
-  // The baseline graph supports concurrent const access (the SweepRunner
-  // contract), so concurrent misses clone it without a lock.
-  DependencyGraph graph = daydream_.CloneGraph();
-  transform(&graph);
-  // Structural lint before anyone compiles this graph — SimPlan::Compile
-  // DD_CHECKs on a broken structure, and a daemon must refuse, not abort.
-  const LintReport structure = GraphLint::LintStructure(graph);
-  if (!structure.ok()) {
-    *error = StrFormat("what-if '%s' produced an invalid graph:\n", request.what_if.c_str()) +
-             structure.ToString();
-    return SessionStatus::kLintFailed;
-  }
-  if (deadline.Expired()) {
-    *error = "deadline expired after the what-if transform";
-    return SessionStatus::kDeadlineExceeded;
-  }
-  if (request.validate) {
-    // Strict mode (`predict --validate`): the full lint catalog over the
-    // transformed graph, with every finding reported, before any prediction.
-    const LintReport report = GraphLint::LintGraph(graph);
-    if (!report.ok()) {
-      *error = StrFormat("what-if '%s' fails lint:\n", request.what_if.c_str()) +
-               report.ToString();
-      return SessionStatus::kLintFailed;
-    }
-  }
-
-  outcome->tasks = graph.num_alive();
-  outcome->prediction.baseline = daydream_.BaselineSimTime();
-  if (request.engine == EngineKind::kReference) {
-    // The Algorithm-1 differential-debugging scan compiles no plan.
-    const Simulator simulator(std::make_shared<EarliestStartScheduler>(), EngineKind::kReference);
-    outcome->prediction.predicted = simulator.Run(graph).makespan;
-    return SessionStatus::kOk;
-  }
-
   if (FaultInjector::Global().ShouldFail("plan_compile")) {
     *error = "injected fault at plan_compile";
     return SessionStatus::kUnavailable;
   }
-  // Timing-only transforms leave the baseline structure stamp intact, so the
-  // baseline plan donates its structure block (Retime); anything else pays
-  // the full CSR compile.
-  const bool retime = daydream_.baseline_plan().CompatibleWith(graph);
-  const SimPlan plan =
-      Simulator().Compile(graph, retime ? &daydream_.baseline_plan() : nullptr);
+  WhatIfOptions options;
+  options.validate = request.validate;
+  // sim_jobs is clamped to the machine here (the serve executor additionally
+  // caps it against its own worker count before the request reaches us).
+  options.sim_jobs = std::clamp(
+      request.sim_jobs, 1, std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+  options.deadline = deadline;
+  PreparedWhatIf prepared;
+  LintReport report;
+  const WhatIfStatus status = daydream_.Prepare(transform, options, &prepared, &report);
+  if (status == WhatIfStatus::kDeadlineExceeded) {
+    *error = "deadline expired after the what-if transform";
+    return SessionStatus::kDeadlineExceeded;
+  }
+  if (status != WhatIfStatus::kOk) {
+    *error = StrFormat("what-if '%s' %s:\n", request.what_if.c_str(), WhatIfStatusPhrase(status)) +
+             report.ToString();
+    return SessionStatus::kLintFailed;
+  }
   if (deadline.Expired()) {
     *error = "deadline expired before plan dispatch";
     return SessionStatus::kDeadlineExceeded;
   }
-  // sim_jobs is clamped to the machine here (the serve executor additionally
-  // caps it against its own worker count before the request reaches us).
-  const int sim_jobs =
-      std::clamp(request.sim_jobs, 1,
-                 std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
-  if (sim_jobs > 1) {
-    // The sharded engine checks the deadline between synchronization
-    // horizons — the only dispatch path with a cooperative mid-run exit.
-    bool deadline_hit = false;
-    outcome->prediction.predicted =
-        RunPlanParallel(plan, sim_jobs, nullptr, &deadline, &deadline_hit).makespan;
-    if (deadline_hit) {
-      *error = "deadline expired during sharded plan dispatch";
-      return SessionStatus::kDeadlineExceeded;
-    }
-  } else {
-    outcome->prediction.predicted = plan.Run().makespan;
+  outcome->tasks = prepared.tasks;
+  outcome->prediction.baseline = daydream_.BaselineSimTime();
+  if (Daydream::Dispatch(prepared, options, nullptr, &outcome->prediction.predicted) !=
+      WhatIfStatus::kOk) {
+    *error = "deadline expired during sharded plan dispatch";
+    return SessionStatus::kDeadlineExceeded;
   }
   if (memoize) {
-    StoreAnswer(signature, *outcome, retime);
+    StoreAnswer(signature, *outcome, prepared.retimed);
   }
+  return SessionStatus::kOk;
+}
+
+SessionStatus TraceSession::PredictP3(const WhatIfRequest& request, TimeNs* predicted,
+                                      std::string* error) const {
+  if (model_graph_ == nullptr) {
+    *error = "trace lacks a known model name";
+    return SessionStatus::kBadRequest;
+  }
+  // PredictPsIterationTime aborts on anything but a 2-iteration profile.
+  if (!CheckPsProfile(daydream_, error)) {
+    return SessionStatus::kBadRequest;
+  }
+  PsWhatIf opts;
+  opts.network = request.cluster.network;
+  opts.num_servers = request.cluster.machines;
+  *predicted = PredictPsIterationTime(daydream_, *model_graph_, opts);
   return SessionStatus::kOk;
 }
 
@@ -315,27 +290,15 @@ SessionStatus TraceSession::Lint(const WhatIfRequest* request, LintReport* repor
       return resolved;
     }
   }
-
-  DependencyGraph graph = daydream_.CloneGraph();
-  if (transform) {
-    transform(&graph);
-  }
-  *report = GraphLint::LintGraph(graph);
-
-  // Lint the compiled plan too — but only for a graph whose structure held
-  // up, since Compile DD_CHECKs on (and a cyclic graph would wedge it).
-  *plan_passes_run = report->ok();
-  if (report->ok()) {
-    const SimPlan plan = Simulator().Compile(graph);
-    const LintReport plan_report = GraphLint::LintPlan(plan, graph);
-    report->findings.insert(report->findings.end(), plan_report.findings.begin(),
-                            plan_report.findings.end());
-    report->passes_run.insert(report->passes_run.end(), plan_report.passes_run.begin(),
-                              plan_report.passes_run.end());
-    report->truncated = report->truncated || plan_report.truncated;
-    report->num_errors += plan_report.num_errors;
-    report->num_warnings += plan_report.num_warnings;
-  }
+  // The validating prepare stage runs the full graph catalog, then — only for
+  // a graph whose structure held up, since compiling a cyclic graph would
+  // wedge — the plan passes against the compiled plan. Findings are the
+  // report, not a failure of the verb.
+  WhatIfOptions options;
+  options.validate = true;
+  PreparedWhatIf prepared;
+  *plan_passes_run =
+      daydream_.Prepare(transform, options, &prepared, report) != WhatIfStatus::kFailsLint;
   return SessionStatus::kOk;
 }
 

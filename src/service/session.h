@@ -11,14 +11,16 @@
 //     logic that used to be inlined in the CLI) and memoizes the answer per
 //     request signature. The simulation is deterministic, so a repeated
 //     question is a hash lookup in a small LRU answer cache. A miss runs
-//     clone -> transform -> structural lint -> compile (or SimPlan::Retime
-//     over the baseline plan's structure for a timing-only what-if) ->
-//     dispatch, stores the {prediction, tasks} answer — a few dozen bytes —
-//     and frees the transformed graph and its plan before returning.
-//   - Sweep runs a case matrix through the existing SweepRunner pipeline over
+//     Daydream's what-if pipeline (src/core/predictor.h: Prepare, then
+//     Dispatch) and stores the {prediction, tasks} answer — a few dozen
+//     bytes; the transformed graph and its plan are freed before returning.
+//   - PredictP3 answers the parameter-server what-if, which reports its own
+//     metric instead of transforming the session graph.
+//   - Sweep runs a case matrix through SweepRunner, the same pipeline over
 //     this session's shared Daydream instance.
-//   - Lint runs the GraphLint catalog over the session graph (optionally
-//     after a what-if transform) plus the compiled plan.
+//   - Lint runs the pipeline's validating prepare stage: the GraphLint
+//     catalog over the session graph (optionally after a what-if transform)
+//     plus the compiled plan.
 //
 // All entry points are thread-safe: the RequestExecutor drives one session
 // from many client threads, and the in-process CLI path is the single-client
@@ -56,12 +58,11 @@ struct WhatIfRequest {
   std::string what_if;       // amp|fused_adam|rbn|metaflow|gist|vdnn|distributed|pipeline
   ClusterConfig cluster;     // distributed
   PipelineWhatIf pipeline;   // pipeline
-  EngineKind engine = EngineKind::kEvent;
-  bool validate = false;     // full lint catalog over the transformed graph
+  bool validate = false;     // WhatIfOptions::validate; never memoized
   // Shards for the plan dispatch (sharded parallel engine; 1 = serial).
-  // Consumption-only, like engine/validate: it changes how fast the answer
-  // arrives, never the answer, so it must not enter Signature() — requests
-  // differing only in sim_jobs share one cached answer.
+  // Consumption-only, like validate: it changes how fast the answer arrives,
+  // never the answer, so it must not enter Signature() — requests differing
+  // only in sim_jobs share one cached answer.
   int sim_jobs = 1;
 
   // Canonical cache signature: every parameter that shapes the transform.
@@ -120,19 +121,26 @@ class TraceSession {
   std::optional<ModelId> model_id() const { return model_id_; }
 
   // Resolves request.what_if to a graph transform (p3 is not a graph
-  // transform — it reports its own metric; see PredictPsIterationTime).
+  // transform — it reports its own metric; see PredictP3).
   SessionStatus ResolveTransform(const WhatIfRequest& request,
                                  std::function<void(DependencyGraph*)>* transform,
                                  std::string* error) const;
 
-  // One what-if prediction, memoized per Signature() (see file comment). The
-  // reference engine and `validate` requests re-check how an answer is
-  // computed, so they always recompute and never touch the answer cache.
-  // `deadline` is checked between the pipeline's stages (after the transform,
-  // after the compile, between shard horizons when the dispatch is sharded):
-  // an expired budget returns kDeadlineExceeded instead of finishing.
+  // One what-if prediction, memoized per Signature() (see file comment).
+  // `validate` requests re-check how an answer is computed, so they always
+  // recompute and never touch the answer cache. `deadline` is checked between
+  // the pipeline's stages (after the transform, after the compile, between
+  // shard horizons when the dispatch is sharded): an expired budget returns
+  // kDeadlineExceeded instead of finishing.
   SessionStatus Predict(const WhatIfRequest& request, PredictOutcome* outcome,
                         std::string* error, const Deadline& deadline = Deadline());
+
+  // The P3 what-if (PredictPsIterationTime): the steady-state iteration time
+  // with parameter servers at request.cluster (machines = servers). Refuses
+  // with kBadRequest a trace whose model is not in the zoo or that is not a
+  // 2-iteration profile.
+  SessionStatus PredictP3(const WhatIfRequest& request, TimeNs* predicted,
+                          std::string* error) const;
 
   // The sweep matrix over this session's shared Daydream. When
   // options.deadline expires mid-matrix the runner stops claiming cases and

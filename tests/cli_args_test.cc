@@ -5,8 +5,13 @@
 #include <string>
 #include <vector>
 
+#include "src/runtime/ground_truth.h"
+
 namespace daydream {
 namespace {
+
+// Sink for the parsers' diagnostics where a test reads only the result.
+std::string ignored_error;
 
 Args ParseVec(const std::vector<const char*>& argv) {
   return ParseArgs(static_cast<int>(argv.size()), argv.data());
@@ -77,7 +82,7 @@ TEST(ParseCluster, ParsesShapeAndBandwidth) {
   Args args;
   args.flags["cluster"] = "4x2";
   args.flags["gbps"] = "25";
-  const std::optional<ClusterConfig> cluster = ParseCluster(args);
+  const std::optional<ClusterConfig> cluster = ParseCluster(args, &ignored_error);
   ASSERT_TRUE(cluster.has_value());
   EXPECT_EQ(cluster->machines, 4);
   EXPECT_EQ(cluster->gpus_per_machine, 2);
@@ -85,7 +90,7 @@ TEST(ParseCluster, ParsesShapeAndBandwidth) {
 }
 
 TEST(ParseCluster, DefaultsWhenFlagsAbsent) {
-  const std::optional<ClusterConfig> cluster = ParseCluster(Args{});
+  const std::optional<ClusterConfig> cluster = ParseCluster(Args{}, &ignored_error);
   ASSERT_TRUE(cluster.has_value());
   EXPECT_EQ(cluster->machines, 4);
   EXPECT_EQ(cluster->gpus_per_machine, 1);
@@ -96,7 +101,7 @@ TEST(ParseCluster, RejectsMalformedShape) {
   for (const char* bad : {"4xa", "ax2", "4", "4x2x1", "0x2", "4x0", "-1x2", ""}) {
     Args args;
     args.flags["cluster"] = bad;
-    EXPECT_FALSE(ParseCluster(args).has_value()) << "--cluster " << bad;
+    EXPECT_FALSE(ParseCluster(args, &ignored_error).has_value()) << "--cluster " << bad;
   }
 }
 
@@ -104,7 +109,7 @@ TEST(ParseCluster, EnforcesTheDocumentedMaxima) {
   Args largest;
   largest.flags["cluster"] =
       std::to_string(kMaxClusterMachines) + "x" + std::to_string(kMaxGpusPerMachine);
-  const std::optional<ClusterConfig> cluster = ParseCluster(largest);
+  const std::optional<ClusterConfig> cluster = ParseCluster(largest, &ignored_error);
   ASSERT_TRUE(cluster.has_value());
   EXPECT_EQ(cluster->total_gpus(), int64_t{kMaxClusterMachines} * kMaxGpusPerMachine);
   for (const std::string bad :
@@ -125,12 +130,12 @@ TEST(ParseCluster, RejectsMalformedBandwidth) {
     Args args;
     args.flags["cluster"] = "4x2";
     args.flags["gbps"] = bad;
-    EXPECT_FALSE(ParseCluster(args).has_value()) << "--gbps " << bad;
+    EXPECT_FALSE(ParseCluster(args, &ignored_error).has_value()) << "--gbps " << bad;
   }
 }
 
 TEST(ParseClusterList, DefaultsToFourShapesAtTenGbps) {
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(Args{});
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(Args{}, &ignored_error);
   ASSERT_TRUE(clusters.has_value());
   ASSERT_EQ(clusters->size(), 4u);
   EXPECT_EQ((*clusters)[0].machines, 2);
@@ -146,7 +151,7 @@ TEST(ParseClusterList, CrossProductOfShapesAndBandwidths) {
   Args args;
   args.flags["cluster"] = "2x2,4x4";
   args.flags["gbps"] = "10,25,40";
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args);
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, &ignored_error);
   ASSERT_TRUE(clusters.has_value());
   ASSERT_EQ(clusters->size(), 6u);
   EXPECT_EQ((*clusters)[0].machines, 2);
@@ -156,40 +161,89 @@ TEST(ParseClusterList, CrossProductOfShapesAndBandwidths) {
   EXPECT_EQ((*clusters)[3].gpus_per_machine, 4);
 }
 
-TEST(ParseEngineKind, DefaultsToEvent) {
-  EXPECT_EQ(ParseEngineKind(Args{}), EngineKind::kEvent);
-}
-
-TEST(ParseEngineKind, AcceptsBothEngines) {
+TEST(UnknownFlag, NamesTheFirstFlagAVerbDoesNotTake) {
+  // `--clutser 8x8` used to answer the default cluster's question.
   Args args;
-  args.flags["engine"] = "event";
-  EXPECT_EQ(ParseEngineKind(args), EngineKind::kEvent);
-  args.flags["engine"] = "reference";
-  EXPECT_EQ(ParseEngineKind(args), EngineKind::kReference);
+  args.command = "predict";
+  args.flags["what-if"] = "distributed";
+  args.flags["clutser"] = "8x8";
+  EXPECT_EQ(UnknownFlagError(args, FlagStyle::kCli), "unknown flag '--clutser' for predict");
+  EXPECT_EQ(UnknownFlagError(args, FlagStyle::kServe), "unknown field 'clutser' for predict");
+  args.flags.erase("clutser");
+  args.flags["cluster"] = "8x8";
+  EXPECT_EQ(UnknownFlagError(args, FlagStyle::kCli), "");
 }
 
-TEST(ParseEngineKind, RejectsUnknownValues) {
-  for (const char* bad : {"Event", "ref", "plan", "", " event"}) {
+TEST(UnknownFlag, EngineIsRejectedByEveryWhatIfVerb) {
+  // The simulation engine is no longer a request parameter: the
+  // differential oracle (Simulator::RunReference) lives in the tests.
+  for (const char* command : {"predict", "lint", "sweep"}) {
     Args args;
-    args.flags["engine"] = bad;
-    EXPECT_FALSE(ParseEngineKind(args).has_value()) << "--engine '" << bad << "'";
+    args.command = command;
+    args.flags["trace"] = "p.ddtrace";
+    args.flags["engine"] = "reference";
+    EXPECT_EQ(UnknownFlagError(args, FlagStyle::kCli),
+              std::string("unknown flag '--engine' for ") + command);
   }
+}
+
+TEST(UnknownFlag, EachVerbTakesItsOwnFlags) {
+  Args sweep;
+  sweep.command = "sweep";
+  for (const char* flag : {"trace", "format", "csv", "json", "cluster", "gbps", "jobs",
+                           "sim-jobs", "pipeline-stages", "microbatches", "schedule",
+                           "validate"}) {
+    sweep.flags[flag] = "1";
+  }
+  EXPECT_EQ(UnknownFlagError(sweep, FlagStyle::kCli), "");
+  sweep.flags["what-if"] = "amp";
+  EXPECT_EQ(UnknownFlagError(sweep, FlagStyle::kCli), "unknown flag '--what-if' for sweep");
+
+  Args lint;
+  lint.command = "lint";
+  lint.flags["strict"] = "1";
+  lint.flags["what-if"] = "distributed";
+  lint.flags["cluster"] = "2x2";
+  EXPECT_EQ(UnknownFlagError(lint, FlagStyle::kCli), "");
+  lint.command = "predict";
+  EXPECT_EQ(UnknownFlagError(lint, FlagStyle::kCli), "unknown flag '--strict' for predict");
+  lint.flags.erase("strict");
+  lint.flags["jobs"] = "2";
+  EXPECT_EQ(UnknownFlagError(lint, FlagStyle::kServe), "unknown field 'jobs' for predict");
+
+  // lint reads no dispatch flags, and a serve request names no trace or
+  // output file.
+  lint.command = "lint";
+  lint.flags.erase("jobs");
+  lint.flags["validate"] = "1";
+  EXPECT_EQ(UnknownFlagError(lint, FlagStyle::kCli), "unknown flag '--validate' for lint");
+  Args served;
+  served.command = "predict";
+  served.flags["trace"] = "p.ddtrace";
+  EXPECT_EQ(UnknownFlagError(served, FlagStyle::kCli), "");
+  EXPECT_EQ(UnknownFlagError(served, FlagStyle::kServe), "unknown field 'trace' for predict");
+
+  // Verbs outside the three keep their own flag handling.
+  Args collect;
+  collect.command = "collect";
+  collect.flags["engine"] = "reference";
+  EXPECT_EQ(UnknownFlagError(collect, FlagStyle::kCli), "");
 }
 
 TEST(ParseClusterList, RejectsAnyBadEntry) {
   for (const char* bad : {"2x2,4xa", "2x2,", ",2x2", "0x1"}) {
     Args args;
     args.flags["cluster"] = bad;
-    EXPECT_FALSE(ParseClusterList(args).has_value()) << "--cluster " << bad;
+    EXPECT_FALSE(ParseClusterList(args, &ignored_error).has_value()) << "--cluster " << bad;
   }
   Args args;
   args.flags["cluster"] = "2x2";
   args.flags["gbps"] = "10,zoom";
-  EXPECT_FALSE(ParseClusterList(args).has_value());
+  EXPECT_FALSE(ParseClusterList(args, &ignored_error).has_value());
 }
 
 TEST(ParsePipelineFlags, DisabledWhenStagesAbsent) {
-  const std::optional<PipelineFlags> flags = ParsePipelineFlags(Args{});
+  const std::optional<PipelineFlags> flags = ParsePipelineFlags(Args{}, &ignored_error);
   ASSERT_TRUE(flags.has_value());
   EXPECT_FALSE(flags->enabled);
 }
@@ -199,7 +253,7 @@ TEST(ParsePipelineFlags, ParsesStagesMicrobatchesAndSchedule) {
   args.flags["pipeline-stages"] = "2,4,8";
   args.flags["microbatches"] = "16";
   args.flags["schedule"] = "gpipe";
-  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args);
+  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args, &ignored_error);
   ASSERT_TRUE(flags.has_value());
   EXPECT_TRUE(flags->enabled);
   EXPECT_EQ(flags->stages, (std::vector<int>{2, 4, 8}));
@@ -211,7 +265,7 @@ TEST(ParsePipelineFlags, ParsesStagesMicrobatchesAndSchedule) {
 TEST(ParsePipelineFlags, DefaultsToFourMicrobatchesAndBothSchedules) {
   Args args;
   args.flags["pipeline-stages"] = "2";
-  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args);
+  const std::optional<PipelineFlags> flags = ParsePipelineFlags(args, &ignored_error);
   ASSERT_TRUE(flags.has_value());
   EXPECT_EQ(flags->microbatches, 4);
   EXPECT_TRUE(flags->schedules.empty());  // empty = both kinds
@@ -221,26 +275,26 @@ TEST(ParsePipelineFlags, RejectsMalformedValues) {
   for (const char* bad : {"0", "-2", "2,", "2,x", "fast"}) {
     Args args;
     args.flags["pipeline-stages"] = bad;
-    EXPECT_FALSE(ParsePipelineFlags(args).has_value()) << "--pipeline-stages " << bad;
+    EXPECT_FALSE(ParsePipelineFlags(args, &ignored_error).has_value()) << "--pipeline-stages " << bad;
   }
   Args bad_mb;
   bad_mb.flags["pipeline-stages"] = "2";
   bad_mb.flags["microbatches"] = "0";
-  EXPECT_FALSE(ParsePipelineFlags(bad_mb).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(bad_mb, &ignored_error).has_value());
   Args bad_schedule;
   bad_schedule.flags["pipeline-stages"] = "2";
   bad_schedule.flags["schedule"] = "warp";
-  EXPECT_FALSE(ParsePipelineFlags(bad_schedule).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(bad_schedule, &ignored_error).has_value());
 }
 
 TEST(ParsePipelineFlags, EnforcesTheDocumentedMaxima) {
   Args largest;
   largest.flags["pipeline-stages"] = std::to_string(kMaxPipelineStages);
   largest.flags["microbatches"] = std::to_string(kMaxMicrobatches);
-  EXPECT_TRUE(ParsePipelineFlags(largest).has_value());
+  EXPECT_TRUE(ParsePipelineFlags(largest, &ignored_error).has_value());
   Args stages;
   stages.flags["pipeline-stages"] = "2," + std::to_string(kMaxPipelineStages + 1);
-  EXPECT_FALSE(ParsePipelineFlags(stages).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(stages, &ignored_error).has_value());
   Args microbatches;
   microbatches.flags["pipeline-stages"] = "2";
   microbatches.flags["microbatches"] = "5000000";
@@ -252,10 +306,10 @@ TEST(ParsePipelineFlags, EnforcesTheDocumentedMaxima) {
 TEST(ParsePipelineFlags, ScheduleWithoutStagesIsAnError) {
   Args args;
   args.flags["schedule"] = "1f1b";
-  EXPECT_FALSE(ParsePipelineFlags(args).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(args, &ignored_error).has_value());
   Args mb;
   mb.flags["microbatches"] = "4";
-  EXPECT_FALSE(ParsePipelineFlags(mb).has_value());
+  EXPECT_FALSE(ParsePipelineFlags(mb, &ignored_error).has_value());
 }
 
 
@@ -294,7 +348,6 @@ TEST(ParseWhatIfRequest, BuildsTheSessionRequest) {
   args.flags["what-if"] = "distributed";
   args.flags["cluster"] = "2x4";
   args.flags["gbps"] = "25";
-  args.flags["engine"] = "reference";
   args.flags["validate"] = "1";
   WhatIfRequest request;
   std::string error;
@@ -303,7 +356,6 @@ TEST(ParseWhatIfRequest, BuildsTheSessionRequest) {
   EXPECT_EQ(request.cluster.machines, 2);
   EXPECT_EQ(request.cluster.gpus_per_machine, 4);
   EXPECT_DOUBLE_EQ(request.cluster.network.bandwidth_gbps, 25.0);
-  EXPECT_EQ(request.engine, EngineKind::kReference);
   EXPECT_TRUE(request.validate);
 }
 
@@ -369,6 +421,69 @@ TEST(ParseWhatIfRequest, RejectsMalformedClusterFlags) {
   std::string error;
   EXPECT_FALSE(ParseWhatIfRequest(args, &request, &error));
   EXPECT_FALSE(error.empty());
+}
+
+const Trace& TinyTrace() {
+  static const Trace* trace = new Trace(CollectBaselineTrace(DefaultRunConfig(ModelId::kTinyMlp)));
+  return *trace;
+}
+
+TEST(ParseSweepRequest, BuildsTheMatrixAndTheRunnerOptions) {
+  Args args;
+  args.command = "sweep";
+  args.flags["cluster"] = "2x2";
+  args.flags["gbps"] = "10,25";
+  args.flags["pipeline-stages"] = "2";
+  args.flags["jobs"] = "3";
+  args.flags["validate"] = "1";
+  SweepRequest request;
+  std::string error;
+  ASSERT_TRUE(
+      ParseSweepRequest(args, TinyTrace(), /*default_sim_jobs=*/5, FlagStyle::kCli, &request,
+                        &error))
+      << error;
+  // amp + fused_adam + 4 layer what-ifs + 2 distributed + 2 pipeline schedules.
+  EXPECT_EQ(request.cases.size(), 10u);
+  EXPECT_EQ(request.cases.back().name, "pipeline 2st/4mb gpipe");
+  EXPECT_EQ(request.options.num_threads, 3);
+  EXPECT_EQ(request.options.sim_jobs, 5);  // the caller's default
+  EXPECT_TRUE(request.options.validate);
+  args.flags["sim-jobs"] = "2";
+  ASSERT_TRUE(ParseSweepRequest(args, TinyTrace(), 5, FlagStyle::kCli, &request, &error));
+  EXPECT_EQ(request.options.sim_jobs, 2);
+}
+
+TEST(ParseSweepRequest, SpellsDiagnosticsForTheCliAndForServe) {
+  const auto error_for = [](const Args& args, const Trace& trace, FlagStyle style) {
+    SweepRequest request;
+    std::string error;
+    EXPECT_FALSE(ParseSweepRequest(args, trace, 1, style, &request, &error));
+    return error;
+  };
+  Args jobs;
+  jobs.flags["jobs"] = "-1";
+  EXPECT_EQ(error_for(jobs, TinyTrace(), FlagStyle::kCli),
+            "bad --jobs '-1' (expected a non-negative integer)");
+  EXPECT_EQ(error_for(jobs, TinyTrace(), FlagStyle::kServe),
+            "bad jobs '-1' (expected a non-negative integer)");
+  Args sim_jobs;
+  sim_jobs.flags["sim-jobs"] = "0";
+  EXPECT_EQ(error_for(sim_jobs, TinyTrace(), FlagStyle::kCli),
+            "bad --sim-jobs '0' (expected a positive integer)");
+  EXPECT_EQ(error_for(sim_jobs, TinyTrace(), FlagStyle::kServe),
+            "bad sim_jobs '0' (expected a positive integer)");
+  Trace unknown_model = TinyTrace();
+  unknown_model.set_model_name("mystery-net");
+  Args pipeline;
+  pipeline.flags["pipeline-stages"] = "2";
+  EXPECT_EQ(error_for(pipeline, unknown_model, FlagStyle::kCli),
+            "trace lacks a known model name (needed for --pipeline-stages)");
+  EXPECT_EQ(error_for(pipeline, unknown_model, FlagStyle::kServe),
+            "trace lacks a known model name (needed for pipeline_stages)");
+  Args cluster;
+  cluster.flags["cluster"] = "4xa";
+  EXPECT_NE(error_for(cluster, TinyTrace(), FlagStyle::kServe).find("bad --cluster '4xa'"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -345,7 +345,7 @@ TEST(SimPlanDifferential, RetimeMatchesFreshCompileAndReference) {
   for (const auto& scheduler : {std::shared_ptr<Scheduler>(new EarliestStartScheduler()),
                                 std::shared_ptr<Scheduler>(new PriorityCommScheduler())}) {
     const Simulator simulator(scheduler);
-    const SimPlan retimed = simulator.Compile(transformed, &daydream.baseline_plan());
+    const SimPlan retimed = SimPlan::Retime(daydream.baseline_plan(), transformed, *scheduler);
     const SimPlan fresh = SimPlan::Compile(transformed, *scheduler);
     const SimResult reference = simulator.RunReference(transformed);
     ExpectSameResult(reference, retimed.Run());
@@ -365,11 +365,21 @@ TEST(SimPlanDifferential, StructuralMutationInvalidatesCompatibility) {
   WhatIfFusedAdam(&structural);  // removes tasks
   EXPECT_FALSE(daydream.baseline_plan().CompatibleWith(structural));
 
-  // Simulator::Compile silently falls back to a full compile — and the full
-  // compile still matches the reference engine on the mutated graph.
-  const Simulator simulator;
-  const SimPlan plan = simulator.Compile(structural, &daydream.baseline_plan());
-  ExpectSameResult(simulator.RunReference(structural), plan.Run());
+  // The what-if pipeline retimes the first and falls back to a full compile
+  // for the second — and both plans still match the reference engine.
+  using Transform = std::function<void(DependencyGraph*)>;
+  for (const auto& [graph, transform, retimed] :
+       {std::make_tuple(&timing_only, Transform([](DependencyGraph* g) { WhatIfAmp(g); }), true),
+        std::make_tuple(&structural, Transform([](DependencyGraph* g) { WhatIfFusedAdam(g); }),
+                        false)}) {
+    PreparedWhatIf prepared;
+    LintReport report;
+    ASSERT_EQ(daydream.Prepare(transform, WhatIfOptions{}, &prepared, &report), WhatIfStatus::kOk)
+        << report.ToString();
+    EXPECT_EQ(prepared.retimed, retimed);
+    EXPECT_EQ(prepared.tasks, graph->num_alive());
+    ExpectSameResult(Simulator().RunReference(*graph), prepared.plan.Run());
+  }
 }
 
 // A comparator-based scheduler without a StaticPlanKey: longest duration

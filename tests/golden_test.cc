@@ -222,5 +222,22 @@ TEST(CliPredict, OutOfRangeSizesExitTwo) {
   EXPECT_NE(output.find("bad --microbatches '5000000'"), std::string::npos) << output;
 }
 
+TEST(CliPredict, UnknownFlagsExitTwoNamingTheFlag) {
+  // `--clutser 8x8` used to exit 0 with the default cluster's answer, and
+  // `--engine` is no longer a flag.
+  const std::string trace = " --trace " + GoldenPath("tinymlp_i1.ddtrace");
+  std::string output;
+  EXPECT_EQ(RunCliExitCode("predict" + trace + " --what-if distributed --clutser 8x8", &output), 2)
+      << output;
+  EXPECT_EQ(output, "unknown flag '--clutser' for predict\n");
+  EXPECT_EQ(RunCliExitCode("predict" + trace + " --what-if amp --engine reference", &output), 2)
+      << output;
+  EXPECT_EQ(output, "unknown flag '--engine' for predict\n");
+  EXPECT_EQ(RunCliExitCode("sweep" + trace + " --engine reference", &output), 2) << output;
+  EXPECT_EQ(output, "unknown flag '--engine' for sweep\n");
+  EXPECT_EQ(RunCliExitCode("lint" + trace + " --stict 1", &output), 2) << output;
+  EXPECT_EQ(output, "unknown flag '--stict' for lint\n");
+}
+
 }  // namespace
 }  // namespace daydream

@@ -256,6 +256,39 @@ TEST_F(ServeTest, PredictReportsUnknownWhatIfsAndBadFlags) {
   EXPECT_EQ(bad_flag.GetString("code"), "bad_request");
 }
 
+TEST_F(ServeTest, UnknownFieldsAreRejectedNamingThem) {
+  // A misspelt field used to be ignored: `clutser` answered the default
+  // cluster's question with ok.
+  RequestExecutor executor;
+  const std::string handle = Open(&executor);
+  const std::string prefix = "{\"session\": \"" + handle + "\", ";
+  for (const auto& [fields, message] :
+       {std::make_pair("\"verb\": \"predict\", \"what_if\": \"distributed\", "
+                       "\"clutser\": \"8x8\"}",
+                       "unknown field 'clutser' for predict"),
+        std::make_pair("\"verb\": \"predict\", \"what_if\": \"amp\", \"engine\": "
+                       "\"reference\"}",
+                       "unknown field 'engine' for predict"),
+        std::make_pair("\"verb\": \"sweep\", \"engine\": \"reference\"}",
+                       "unknown field 'engine' for sweep"),
+        std::make_pair("\"verb\": \"lint\", \"what_if\": \"amp\", \"stict\": true}",
+                       "unknown field 'stict' for lint"),
+        // open's fields set nothing on a session verb.
+        std::make_pair("\"verb\": \"predict\", \"what_if\": \"amp\", "
+                       "\"cache_capacity\": 1}",
+                       "unknown field 'cache_capacity' for predict")}) {
+    const JsonObject response = Parse(executor.Handle(prefix + fields).line);
+    EXPECT_FALSE(response.GetBool("ok", true)) << fields;
+    EXPECT_EQ(response.GetString("code"), "bad_request") << fields;
+    EXPECT_EQ(response.GetString("error"), message) << fields;
+  }
+  const JsonObject spelt = Parse(
+      executor.Handle(prefix + "\"verb\": \"predict\", \"what_if\": \"distributed\", "
+                               "\"cluster\": \"8x8\", \"sim_jobs\": 1}")
+          .line);
+  EXPECT_TRUE(spelt.GetBool("ok")) << spelt.GetString("error");
+}
+
 TEST_F(ServeTest, PredictRejectsSizesPastTheDocumentedMaxima) {
   RequestExecutor executor;
   const std::string handle = Open(&executor);

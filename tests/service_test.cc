@@ -35,13 +35,12 @@ TEST(WhatIfRequestSignature, DistinguishesEveryTransformParameter) {
   dist_fast.cluster.network.bandwidth_gbps = 40.0;
   EXPECT_NE(dist.Signature(), dist_fast.Signature());
 
-  // Engine, validate and sim_jobs select how the answer is computed, not
-  // which question it answers — they must not split the signature.
-  WhatIfRequest amp_reference = amp;
-  amp_reference.engine = EngineKind::kReference;
-  amp_reference.validate = true;
-  amp_reference.sim_jobs = 4;
-  EXPECT_EQ(amp.Signature(), amp_reference.Signature());
+  // Validate and sim_jobs select how the answer is computed, not which
+  // question it answers — they must not split the signature.
+  WhatIfRequest amp_validated = amp;
+  amp_validated.validate = true;
+  amp_validated.sim_jobs = 4;
+  EXPECT_EQ(amp.Signature(), amp_validated.Signature());
 }
 
 // ---- TraceSession ----
@@ -191,21 +190,37 @@ TEST_F(TraceSessionTest, PlansDroppedWithAnEvictedTransformCountAsEvictions) {
   EXPECT_EQ(session->plan_cache_stats().evictions, 1u);
 }
 
-TEST_F(TraceSessionTest, ReferenceEngineBypassesThePlanCache) {
+TEST_F(TraceSessionTest, EveryWhatIfMatchesTheReferenceScan) {
+  // The differential oracle: for every what-if the session resolves, the
+  // answer — cold, then from the answer cache — is the Algorithm-1 scan
+  // (Simulator::RunReference) over a clone with the same transform applied.
   std::shared_ptr<TraceSession> session = NewSession();
-  WhatIfRequest request;
-  request.what_if = "amp";
-  request.engine = EngineKind::kReference;
-  PredictOutcome reference, event;
-  std::string error;
-  ASSERT_EQ(session->Predict(request, &reference, &error), SessionStatus::kOk) << error;
-  EXPECT_FALSE(reference.cache_hit);
-  EXPECT_EQ(session->plan_cache_size(), 0u);
-
-  request.engine = EngineKind::kEvent;
-  ASSERT_EQ(session->Predict(request, &event, &error), SessionStatus::kOk) << error;
-  // Differential check: both engines agree on the same transformed graph.
-  EXPECT_EQ(reference.prediction.predicted, event.prediction.predicted);
+  const TimeNs baseline = Simulator().RunReference(session->daydream().graph()).makespan;
+  for (const char* name :
+       {"amp", "fused_adam", "rbn", "metaflow", "gist", "vdnn", "distributed", "pipeline"}) {
+    WhatIfRequest request;
+    request.what_if = name;
+    request.cluster.machines = 2;
+    request.cluster.gpus_per_machine = 2;
+    request.pipeline.num_stages = 2;
+    request.pipeline.num_microbatches = 4;
+    std::function<void(DependencyGraph*)> transform;
+    std::string error;
+    ASSERT_EQ(session->ResolveTransform(request, &transform, &error), SessionStatus::kOk)
+        << name << ": " << error;
+    DependencyGraph graph = session->daydream().CloneGraph();
+    transform(&graph);
+    const TimeNs expected = Simulator().RunReference(graph).makespan;
+    for (const bool cached : {false, true}) {
+      PredictOutcome outcome;
+      ASSERT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk)
+          << name << ": " << error;
+      EXPECT_EQ(outcome.cache_hit, cached) << name;
+      EXPECT_EQ(outcome.prediction.baseline, baseline) << name;
+      EXPECT_EQ(outcome.prediction.predicted, expected) << name;
+      EXPECT_EQ(outcome.tasks, graph.num_alive()) << name;
+    }
+  }
 }
 
 TEST_F(TraceSessionTest, UnknownWhatIfIsReportedNotFatal) {
@@ -436,25 +451,21 @@ TEST_F(AnswerCache, MissesAreFilledByRetimeOrCompile) {
   EXPECT_EQ(stats.hits, 2u);
 }
 
-TEST_F(AnswerCache, ReferenceAndValidateRequestsNeverHit) {
+TEST_F(AnswerCache, ValidateRequestsNeverHit) {
   std::shared_ptr<TraceSession> session = NewSession();
-  WhatIfRequest reference = Named("amp");
-  reference.engine = EngineKind::kReference;
   WhatIfRequest validated = Named("amp");
   validated.validate = true;
 
-  // Neither fills the cache...
-  const PredictOutcome cold_reference = Ask(session.get(), reference);
-  Ask(session.get(), validated);
+  // A validated request does not fill the cache...
+  const PredictOutcome cold_validated = Ask(session.get(), validated);
   EXPECT_EQ(session->plan_cache_size(), 0u);
-  // ...nor reads it once the event-engine answer is memoized.
-  const PredictOutcome event = Ask(session.get(), Named("amp"));
-  for (const WhatIfRequest& request : {reference, validated}) {
-    const PredictOutcome outcome = Ask(session.get(), request);
-    EXPECT_FALSE(outcome.cache_hit);
-    EXPECT_EQ(outcome.prediction.predicted, event.prediction.predicted);
-  }
-  EXPECT_EQ(cold_reference.prediction.predicted, event.prediction.predicted);
+  // ...nor read it once the plain answer is memoized.
+  const PredictOutcome memoized = Ask(session.get(), Named("amp"));
+  const PredictOutcome warm_validated = Ask(session.get(), validated);
+  EXPECT_FALSE(warm_validated.cache_hit);
+  EXPECT_EQ(warm_validated.prediction.predicted, memoized.prediction.predicted);
+  EXPECT_EQ(cold_validated.prediction.predicted, memoized.prediction.predicted);
+  EXPECT_EQ(cold_validated.tasks, memoized.tasks);
   const PlanCacheStats stats = session->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);

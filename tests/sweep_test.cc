@@ -55,7 +55,7 @@ TEST(SweepRunner, ParallelOutcomesMatchSerialPredictions) {
   ASSERT_EQ(parallel.size(), cases.size());
 
   for (size_t i = 0; i < cases.size(); ++i) {
-    const PredictionResult serial = daydream.Predict(cases[i].transform, cases[i].scheduler);
+    const PredictionResult serial = daydream.Predict(cases[i].transform);
     EXPECT_EQ(parallel[i].name, cases[i].name);
     EXPECT_EQ(parallel[i].prediction.baseline, serial.baseline);
     EXPECT_EQ(parallel[i].prediction.predicted, serial.predicted) << cases[i].name;
@@ -89,35 +89,39 @@ TEST(SweepRunner, ShardedDispatchMatchesSerialOutcomes) {
 }
 
 TEST(SweepRunner, ReferenceEngineMatchesCompiledPlans) {
-  // --engine=reference differential: the pipelined plan path and the
-  // Algorithm-1 scan must agree on every standard case.
+  // The differential oracle: every standard and pipeline case, swept through
+  // the pipelined plan path, equals the Algorithm-1 scan
+  // (Simulator::RunReference) over a clone with the same transform — in
+  // makespan and in task count.
   const Daydream daydream(ResNetTrace());
-  const std::vector<SweepCase> cases = BuildStandardSweep(ResNetTrace(), Clusters());
+  std::vector<SweepCase> cases = BuildStandardSweep(ResNetTrace(), Clusters());
+  PipelineSweepSpec pipeline;
+  pipeline.stages = {2, 4};
+  ASSERT_TRUE(AppendPipelineSweep(&cases, ResNetTrace(), pipeline));
 
-  SweepOptions event_options;
-  event_options.num_threads = 4;
-  SweepOptions reference_options;
-  reference_options.num_threads = 4;
-  reference_options.engine = EngineKind::kReference;
-  const std::vector<SweepOutcome> via_plan = SweepRunner(daydream, event_options).Run(cases);
-  const std::vector<SweepOutcome> via_reference =
-      SweepRunner(daydream, reference_options).Run(cases);
-  ASSERT_EQ(via_plan.size(), via_reference.size());
-  for (size_t i = 0; i < via_plan.size(); ++i) {
-    EXPECT_EQ(via_plan[i].prediction.predicted, via_reference[i].prediction.predicted)
+  SweepOptions options;
+  options.num_threads = 4;
+  const std::vector<SweepOutcome> via_plan = SweepRunner(daydream, options).Run(cases);
+  ASSERT_EQ(via_plan.size(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    DependencyGraph graph = daydream.CloneGraph();
+    cases[i].transform(&graph);
+    EXPECT_EQ(via_plan[i].prediction.predicted, Simulator().RunReference(graph).makespan)
         << cases[i].name;
-    EXPECT_EQ(via_plan[i].tasks, via_reference[i].tasks) << cases[i].name;
+    EXPECT_EQ(via_plan[i].tasks, graph.num_alive()) << cases[i].name;
   }
 }
 
 TEST(SweepRunner, GraphBaselineConstructorSweepsWithoutATrace) {
-  // The bench entry point: a pre-built baseline graph, no trace machinery.
+  // The bench entry point: a pre-built baseline graph adopted by a Daydream
+  // with no trace behind it.
   const Daydream daydream(ResNetTrace());
+  const Daydream adopted(Trace{}, daydream.graph().Clone());
   const TimeNs baseline = daydream.BaselineSimTime();
-  const SweepRunner runner(daydream.graph(), baseline);
+  EXPECT_EQ(adopted.BaselineSimTime(), baseline);
+  const SweepRunner runner(adopted);
   const std::vector<SweepOutcome> outcomes =
-      runner.Run({{"amp", [](DependencyGraph* g) { WhatIfAmp(g); }, nullptr},
-                  {"noop", nullptr, nullptr}});
+      runner.Run({{"amp", [](DependencyGraph* g) { WhatIfAmp(g); }}, {"noop", nullptr}});
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].prediction.baseline, baseline);
   EXPECT_EQ(outcomes[0].prediction.predicted,

@@ -1,9 +1,9 @@
 #include "tools/cli_args.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -131,18 +131,6 @@ std::optional<double> ParseBandwidth(const std::string& gbps, std::string* error
 
 }  // namespace
 
-std::optional<EngineKind> ParseEngineKind(const Args& args, std::string* error) {
-  const std::string engine = args.Get("engine", "event");
-  if (engine == "event") {
-    return EngineKind::kEvent;
-  }
-  if (engine == "reference") {
-    return EngineKind::kReference;
-  }
-  *error = "bad --engine '" + engine + "' (expected event or reference)";
-  return std::nullopt;
-}
-
 std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error) {
   const std::optional<std::pair<int, int>> shape = ParseShape(args.Get("cluster", "4x1"), error);
   if (!shape.has_value()) {
@@ -231,45 +219,8 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
   return flags;
 }
 
-namespace {
-
-// The stderr wrappers share one shape: run the core overload, print its
-// diagnostic on failure.
-template <typename Fn>
-auto PrintOnError(Fn&& fn) -> decltype(fn(std::declval<std::string*>())) {
-  std::string error;
-  auto result = fn(&error);
-  if (!result.has_value()) {
-    std::cerr << error << "\n";
-  }
-  return result;
-}
-
-}  // namespace
-
-std::optional<EngineKind> ParseEngineKind(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParseEngineKind(args, error); });
-}
-
-std::optional<ClusterConfig> ParseCluster(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParseCluster(args, error); });
-}
-
-std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParseClusterList(args, error); });
-}
-
-std::optional<PipelineFlags> ParsePipelineFlags(const Args& args) {
-  return PrintOnError([&args](std::string* error) { return ParsePipelineFlags(args, error); });
-}
-
 bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error) {
   request->what_if = args.Get("what-if");
-  const std::optional<EngineKind> engine = ParseEngineKind(args, error);
-  if (!engine.has_value()) {
-    return false;
-  }
-  request->engine = *engine;
   request->validate = args.Has("validate");
   const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
   if (!sim_jobs.has_value() || *sim_jobs < 1) {
@@ -305,6 +256,91 @@ bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* e
       request->pipeline.schedule = pipeline->schedules.front();
     }
   }
+  return true;
+}
+
+std::string SpellFlag(const std::string& name, FlagStyle style) {
+  if (style == FlagStyle::kCli) {
+    return "--" + name;
+  }
+  std::string field = name;
+  for (char& c : field) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return field;
+}
+
+std::string UnknownFlagError(const Args& args, FlagStyle style) {
+  static const std::map<std::string, std::vector<std::string>> kFlags = {
+      {"predict",
+       {"trace", "format", "json", "what-if", "cluster", "gbps", "pipeline-stages",
+        "microbatches", "schedule", "sim-jobs", "validate"}},
+      {"lint",
+       {"trace", "format", "json", "strict", "what-if", "cluster", "gbps", "pipeline-stages",
+        "microbatches", "schedule"}},
+      {"sweep",
+       {"trace", "format", "csv", "json", "cluster", "gbps", "jobs", "sim-jobs",
+        "pipeline-stages", "microbatches", "schedule", "validate"}},
+  };
+  // The trace and the output files are the CLI process's business; a serve
+  // request names its session instead and gets its answer on the wire.
+  static const std::vector<std::string> kCliOnly = {"trace", "format", "json", "csv"};
+  const auto known = kFlags.find(args.command);
+  if (known == kFlags.end()) {
+    return "";
+  }
+  for (const auto& [name, value] : args.flags) {
+    if (std::find(known->second.begin(), known->second.end(), name) == known->second.end() ||
+        (style == FlagStyle::kServe &&
+         std::find(kCliOnly.begin(), kCliOnly.end(), name) != kCliOnly.end())) {
+      return StrFormat("unknown %s '%s' for %s", style == FlagStyle::kCli ? "flag" : "field",
+                       SpellFlag(name, style).c_str(), args.command.c_str());
+    }
+  }
+  return "";
+}
+
+bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_jobs,
+                       FlagStyle style, SweepRequest* request, std::string* error) {
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, error);
+  if (!clusters.has_value()) {
+    return false;
+  }
+  const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
+  if (!jobs.has_value() || *jobs < 0) {
+    *error = StrFormat("bad %s '%s' (expected a non-negative integer)",
+                       SpellFlag("jobs", style).c_str(), args.Get("jobs").c_str());
+    return false;
+  }
+  const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error);
+  if (!pipeline.has_value()) {
+    return false;
+  }
+  request->cases = BuildStandardSweep(trace, *clusters);
+  if (pipeline->enabled) {
+    PipelineSweepSpec spec;
+    spec.stages = pipeline->stages;
+    spec.microbatches = pipeline->microbatches;
+    spec.schedules = pipeline->schedules;
+    spec.network = pipeline->network;
+    if (!AppendPipelineSweep(&request->cases, trace, spec)) {
+      *error = StrFormat("trace lacks a known model name (needed for %s)",
+                         SpellFlag("pipeline-stages", style).c_str());
+      return false;
+    }
+  }
+  const std::optional<int> sim_jobs =
+      ParseInt(args.Get("sim-jobs", std::to_string(default_sim_jobs)));
+  if (!sim_jobs.has_value() || *sim_jobs < 1) {
+    *error = StrFormat("bad %s '%s' (expected a positive integer)",
+                       SpellFlag("sim-jobs", style).c_str(), args.Get("sim-jobs").c_str());
+    return false;
+  }
+  request->options.num_threads = *jobs;
+  request->options.sim_jobs = *sim_jobs;
+  request->options.validate = args.Has("validate");
   return true;
 }
 

@@ -1,10 +1,10 @@
 // Command-line argument parsing for the daydream CLI, split out of the main
 // binary so unit tests can link against it.
 //
-// Every Parse* helper comes in two flavours: the core overload reports
-// malformed input through a std::string* (the serve protocol wraps it in a
-// per-request error envelope), and the historical overload prints the same
-// diagnostic to stderr for the CLI.
+// Every Parse* helper reports malformed input through a std::string*: the
+// CLI prints it and exits 2, the serve protocol wraps it in a per-request
+// `bad_request` envelope (serve lowers a request's fields onto the same flag
+// names).
 #ifndef TOOLS_CLI_ARGS_H_
 #define TOOLS_CLI_ARGS_H_
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/comm/network_spec.h"
-#include "src/core/simulator.h"
 #include "src/parallel/pipeline.h"
 #include "src/service/session.h"
 
@@ -65,23 +64,15 @@ constexpr int kMaxGpusPerMachine = 64;       // --cluster G
 constexpr int kMaxPipelineStages = 1024;     // --pipeline-stages
 constexpr int kMaxMicrobatches = 1024;       // --microbatches
 
-// Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error
-// (core) or prints a diagnostic to stderr and returns nullopt on malformed
-// input, including a shape past kMaxClusterMachines x kMaxGpusPerMachine.
+// Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error and
+// returns nullopt on malformed input, including a shape past
+// kMaxClusterMachines x kMaxGpusPerMachine.
 std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error);
-std::optional<ClusterConfig> ParseCluster(const Args& args);
-
-// Parses --engine {event,reference} for `daydream predict`/`sweep` (default
-// "event", the compiled-plan engine; "reference" forces the Algorithm-1 scan
-// for differential debugging without a rebuild).
-std::optional<EngineKind> ParseEngineKind(const Args& args, std::string* error);
-std::optional<EngineKind> ParseEngineKind(const Args& args);
 
 // Builds the cluster matrix for `daydream sweep`: the cross product of
 // --cluster (comma-separated MxG shapes, default "2x1,2x2,4x1,4x2") and
 // --gbps (comma-separated bandwidths, default "10").
 std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std::string* error);
-std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args);
 
 // Pipeline-parallel what-if flags:
 //   --pipeline-stages N[,N...]   stage counts to evaluate (1..kMaxPipelineStages)
@@ -101,16 +92,40 @@ struct PipelineFlags {
   NetworkSpec network;
 };
 std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* error);
-std::optional<PipelineFlags> ParsePipelineFlags(const Args& args);
 
 // Builds the session-layer WhatIfRequest from predict-style flags: --what-if
-// plus --engine/--validate/--sim-jobs always, --cluster/--gbps for
-// distributed and p3, and the pipeline flags (with predict's
-// single-stage/single-schedule constraints) for pipeline. Unknown what-if
-// names parse fine — resolution is the session's job
-// (TraceSession::ResolveTransform). Returns false with *error set on
-// malformed flags.
+// plus --validate/--sim-jobs always, --cluster/--gbps for distributed and
+// p3, and the pipeline flags (with predict's single-stage/single-schedule
+// constraints) for pipeline. Unknown what-if names parse fine — resolution
+// is the session's job (TraceSession::ResolveTransform). Returns false with
+// *error set on malformed flags.
 bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error);
+
+// How a diagnostic spells a flag: `--sim-jobs` on the command line,
+// `sim_jobs` as a serve request field.
+enum class FlagStyle { kCli, kServe };
+std::string SpellFlag(const std::string& name, FlagStyle style);
+
+// predict, sweep and lint each take a fixed set of flags (serve lowers a
+// request's fields onto the same names). Returns the diagnostic naming the
+// first flag `args.command` does not take, e.g. "unknown flag '--clutser'
+// for predict" — a misspelt flag must not silently answer a different
+// question — or "" when every flag is known or the command is not one of
+// the three.
+std::string UnknownFlagError(const Args& args, FlagStyle style);
+
+// The sweep verb's request: the case matrix (BuildStandardSweep over
+// --cluster x --gbps, plus AppendPipelineSweep for the pipeline flags) and
+// the runner options from --jobs, --sim-jobs (default `default_sim_jobs`)
+// and --validate. Returns false with *error set, flags spelt per `style`, on
+// malformed flags or pipeline flags over a trace whose model is not in the
+// zoo.
+struct SweepRequest {
+  std::vector<SweepCase> cases;
+  SweepOptions options;
+};
+bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_jobs,
+                       FlagStyle style, SweepRequest* request, std::string* error);
 
 }  // namespace daydream
 

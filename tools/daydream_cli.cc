@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 
-#include "src/core/optimizations/p3.h"
 #include "src/models/model_zoo.h"
 #include "src/runtime/ground_truth.h"
 #include "src/service/serve.h"
@@ -56,15 +55,15 @@ commands:
            [--cluster MxG] [--gbps BW]  (distributed/p3 options)
            [--pipeline-stages N] [--microbatches M] [--schedule gpipe|1f1b]
                                         (pipeline options)
-           [--engine event|reference]   (reference = Algorithm-1 scan, for
-                                         differential debugging)
            [--sim-jobs N]               (shards for parallel plan dispatch;
                                          same result, more cores)
            [--json FILE]                (machine-readable result)
            [--validate]                 (full GraphLint pass over the what-if
                                          output before predicting)
   lint     --trace FILE                 run the GraphLint catalog over the graph
-           [--what-if <name>]           (lint a transformed graph instead)
+           [--what-if <name>]           (lint a transformed graph instead,
+                                         with predict's --cluster/--gbps and
+                                         pipeline options)
            [--json FILE] [--strict]     (--strict: warnings also fail; exit 0
                                          clean, 1 findings, 2 usage errors)
   sweep    --trace FILE                 evaluate the whole what-if matrix concurrently
@@ -73,7 +72,7 @@ commands:
                                          thread budget is shared with --jobs)
            [--pipeline-stages N1,N2,...] [--microbatches M]
            [--schedule gpipe|1f1b|both]
-           [--engine event|reference] [--csv FILE] [--json FILE] [--validate]
+           [--csv FILE] [--json FILE] [--validate]
   serve    [--port N] [--jobs N]        line-delimited-JSON prediction daemon
            [--sim-jobs N]               (stdin/stdout without --port; see
                                          docs/serve.md; --sim-jobs sets the
@@ -86,15 +85,6 @@ commands:
   version  [--json]                     build + protocol version
 )";
   return 2;
-}
-
-std::optional<ModelId> LookupModel(const std::string& name) {
-  for (ModelId id : AllModels()) {
-    if (name == ModelName(id)) {
-      return id;
-    }
-  }
-  return std::nullopt;
 }
 
 int CmdModels() {
@@ -269,20 +259,11 @@ int CmdPredict(const Args& args) {
   }
 
   if (request.what_if == "p3") {
-    const std::optional<ModelId> model_id = session->model_id();
-    if (!model_id.has_value()) {
-      std::cerr << "trace lacks a known model name\n";
-      return 2;
-    }
-    if (!CheckPsProfile(session->daydream(), &error)) {
+    TimeNs predicted = 0;
+    if (session->PredictP3(request, &predicted, &error) != SessionStatus::kOk) {
       std::cerr << error << "\n";
       return 2;
     }
-    PsWhatIf opts;
-    opts.network = request.cluster.network;
-    opts.num_servers = request.cluster.machines;
-    const ModelGraph model = BuildModel(*model_id, DefaultBatch(*model_id));
-    const TimeNs predicted = PredictPsIterationTime(session->daydream(), model, opts);
     std::cout << StrFormat("P3 predicted steady-state iteration: %.1f ms\n", ToMs(predicted));
     return 0;
   }
@@ -397,49 +378,14 @@ int CmdSweep(const Args& args) {
   if (session == nullptr) {
     return 2;
   }
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args);
-  if (!clusters.has_value()) {
+  SweepRequest sweep;
+  std::string error;
+  if (!ParseSweepRequest(args, session->trace(), /*default_sim_jobs=*/1, FlagStyle::kCli, &sweep,
+                         &error)) {
+    std::cerr << error << "\n";
     return 2;
   }
-  const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
-  if (!jobs.has_value() || *jobs < 0) {
-    std::cerr << "bad --jobs '" << args.Get("jobs") << "' (expected a non-negative integer)\n";
-    return 2;
-  }
-  const std::optional<EngineKind> engine = ParseEngineKind(args);
-  if (!engine.has_value()) {
-    return 2;
-  }
-
-  const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args);
-  if (!pipeline.has_value()) {
-    return 2;
-  }
-
-  std::vector<SweepCase> cases = BuildStandardSweep(session->trace(), *clusters);
-  if (pipeline->enabled) {
-    PipelineSweepSpec spec;
-    spec.stages = pipeline->stages;
-    spec.microbatches = pipeline->microbatches;
-    spec.schedules = pipeline->schedules;
-    spec.network = pipeline->network;
-    if (!AppendPipelineSweep(&cases, session->trace(), spec)) {
-      std::cerr << "trace lacks a known model name (needed for --pipeline-stages)\n";
-      return 2;
-    }
-  }
-  const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
-  if (!sim_jobs.has_value() || *sim_jobs < 1) {
-    std::cerr << "bad --sim-jobs '" << args.Get("sim-jobs")
-              << "' (expected a positive integer)\n";
-    return 2;
-  }
-  SweepOptions options;
-  options.num_threads = *jobs;
-  options.engine = *engine;
-  options.validate = args.Has("validate");
-  options.sim_jobs = *sim_jobs;
-  std::vector<SweepOutcome> outcomes = session->Sweep(cases, options);
+  std::vector<SweepOutcome> outcomes = session->Sweep(sweep.cases, sweep.options);
   RankBySpeedup(&outcomes);
 
   std::cout << StrFormat("baseline (simulated): %.1f ms — %zu what-if cases\n\n",
@@ -553,6 +499,11 @@ int Main(int argc, char** argv) {
   if (!args.ok()) {
     std::cerr << "error: " << args.error << "\n";
     return Usage();
+  }
+  const std::string unknown_flag = UnknownFlagError(args, FlagStyle::kCli);
+  if (!unknown_flag.empty()) {
+    std::cerr << unknown_flag << "\n";
+    return 2;
   }
   if (args.command == "models") {
     return CmdModels();
