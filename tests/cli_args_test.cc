@@ -187,6 +187,30 @@ TEST(UnknownFlag, EngineIsRejectedByEveryWhatIfVerb) {
   }
 }
 
+TEST(UnknownFlag, WhatIfVerbsNeedNoEngineFlag) {
+  // A request that names no engine runs the one event-driven simulator.
+  for (const char* command : {"predict", "lint", "sweep"}) {
+    Args args;
+    args.command = command;
+    args.flags["trace"] = "p.ddtrace";
+    EXPECT_EQ(UnknownFlagError(args, FlagStyle::kCli), "") << command;
+  }
+}
+
+TEST(UnknownFlag, EveryEngineValueIsRejected) {
+  // No value of --engine selects anything, so every one, the two old
+  // engine names included, is refused the same way.
+  for (const char* value : {"event", "reference", "Event", "ref", "plan", "", " event"}) {
+    Args args;
+    args.command = "predict";
+    args.flags["engine"] = value;
+    EXPECT_EQ(UnknownFlagError(args, FlagStyle::kCli), "unknown flag '--engine' for predict")
+        << "--engine '" << value << "'";
+    EXPECT_EQ(UnknownFlagError(args, FlagStyle::kServe), "unknown field 'engine' for predict")
+        << "engine '" << value << "'";
+  }
+}
+
 TEST(UnknownFlag, EachVerbTakesItsOwnFlags) {
   Args sweep;
   sweep.command = "sweep";
