@@ -13,26 +13,6 @@ TimeNs SimResult::EndOf(TaskId id) const {
   return end[static_cast<size_t>(id)];
 }
 
-std::map<ExecThread, TimeNs> SimResult::thread_busy() const {
-  std::map<ExecThread, TimeNs> out;
-  for (size_t lane = 0; lane < lane_threads.size(); ++lane) {
-    if (lane_end[lane] >= 0) {
-      out[lane_threads[lane]] = lane_busy[lane];
-    }
-  }
-  return out;
-}
-
-std::map<ExecThread, TimeNs> SimResult::thread_end() const {
-  std::map<ExecThread, TimeNs> out;
-  for (size_t lane = 0; lane < lane_threads.size(); ++lane) {
-    if (lane_end[lane] >= 0) {
-      out[lane_threads[lane]] = lane_end[lane];
-    }
-  }
-  return out;
-}
-
 TimeNs Scheduler::Context::FeasibleTime(TaskId id) const {
   const TimeNs lane_progress = (*progress)[static_cast<size_t>(graph->lane_of(id))];
   return std::max(lane_progress, (*earliest)[static_cast<size_t>(id)]);

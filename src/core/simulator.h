@@ -24,7 +24,6 @@
 #define SRC_CORE_SIMULATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -50,11 +49,6 @@ struct SimResult {
   int dispatched = 0;
 
   TimeNs EndOf(TaskId id) const;
-
-  // Map-shaped compatibility accessors: one entry per lane that dispatched at
-  // least one task (the shape the historical std::map members had).
-  std::map<ExecThread, TimeNs> thread_busy() const;
-  std::map<ExecThread, TimeNs> thread_end() const;
 };
 
 // Scheduling policy: given the frontier (ready tasks), pick which to dispatch.

@@ -85,11 +85,30 @@ ResponseWriter BeginResponse(const std::optional<std::string>& id, bool ok) {
   return writer;
 }
 
+// Clamp for the integer fields timeout_ms and cache_capacity before their
+// cast from double: a budget past ~31 years or a capacity past 10^12 answers
+// never binds, while 1e308 would overflow the cast and the clock arithmetic.
+constexpr double kMaxIntegerField = 1e12;
+
+// Error messages quote request text (a verb, a handle, a flag value), which
+// may be a 1 MiB string. Past kMaxErrorBytes the message is cut, on a UTF-8
+// boundary, so the envelope stays well inside what a parser with the
+// request limits (docs/serve.md) reads back.
+constexpr size_t kMaxErrorBytes = 64 << 10;
+
 std::string ErrorResponse(const std::optional<std::string>& id, const std::string& code,
                           const std::string& message) {
   ResponseWriter writer = BeginResponse(id, /*ok=*/false);
   writer.AddString("code", code);
-  writer.AddString("error", message);
+  if (message.size() <= kMaxErrorBytes) {
+    writer.AddString("error", message);
+  } else {
+    size_t cut = kMaxErrorBytes;
+    while (cut > 0 && (static_cast<unsigned char>(message[cut]) & 0xC0) == 0x80) {
+      --cut;  // a UTF-8 continuation byte
+    }
+    writer.AddString("error", message.substr(0, cut) + "...");
+  }
   return writer.Finish();
 }
 
@@ -97,11 +116,15 @@ std::string ErrorResponse(const std::optional<std::string>& id, const std::strin
 // protocol and the command line share one parsing path (tools/cli_args.h):
 // `what_if` → --what-if, numbers keep their source token, `true` booleans
 // become presence. Transport-level fields (id/verb/session/timeout_ms) are
-// not flags. Every other field must be one the verb takes (UnknownFlagError);
-// `false` and null fields are dropped first, as they set nothing.
-Args RequestToArgs(const JsonObject& request, const std::string& verb) {
+// not flags. `false` and null fields set nothing and are left out of the
+// map, but every field, theirs included, must be one the verb takes: the
+// first unknown name is returned in *unknown_field (UnknownFlagError).
+Args RequestToArgs(const JsonObject& request, const std::string& verb,
+                   std::string* unknown_field) {
   Args args;
   args.command = verb;
+  Args unset;  // false and null fields: nothing to set, but names to check
+  unset.command = verb;
   for (const auto& [key, value] : request.fields()) {
     if (key == "id" || key == "verb" || key == "session" || key == "timeout_ms") {
       continue;
@@ -122,11 +145,18 @@ Args RequestToArgs(const JsonObject& request, const std::string& verb) {
       case JsonValue::Kind::kBool:
         if (value.boolean) {
           args.flags.insert_or_assign(name, std::string("1"));
+        } else {
+          unset.flags[name];
         }
         break;
       case JsonValue::Kind::kNull:
+        unset.flags[name];
         break;
     }
+  }
+  *unknown_field = UnknownFlagError(args, FlagStyle::kServe);
+  if (unknown_field->empty()) {
+    *unknown_field = UnknownFlagError(unset, FlagStyle::kServe);
   }
   return args;
 }
@@ -227,7 +257,8 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
           ErrorResponse(id, "bad_request", "bad timeout_ms (expected a positive integer)");
       return response;
     }
-    deadline = Deadline::Sooner(deadline, Deadline::AfterMs(static_cast<long long>(timeout_ms)));
+    const long long budget_ms = static_cast<long long>(std::min(timeout_ms, kMaxIntegerField));
+    deadline = Deadline::Sooner(deadline, Deadline::AfterMs(budget_ms));
   }
 
   const std::string verb = request->GetString("verb");
@@ -316,7 +347,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
                                       "bad cache_capacity (expected a positive integer)");
         return response;
       }
-      options.plan_cache_capacity = static_cast<size_t>(capacity);
+      options.plan_cache_capacity = static_cast<size_t>(std::min(capacity, kMaxIntegerField));
     }
     std::string error;
     std::shared_ptr<TraceSession> session = TraceSession::Create(std::move(*trace), options, &error);
@@ -413,8 +444,8 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
     return response;
   }
 
-  const Args args = RequestToArgs(*request, verb);
-  const std::string unknown_field = UnknownFlagError(args, FlagStyle::kServe);
+  std::string unknown_field;
+  const Args args = RequestToArgs(*request, verb, &unknown_field);
   if (!unknown_field.empty()) {
     response.line = ErrorResponse(id, "bad_request", unknown_field);
     return response;

@@ -18,9 +18,10 @@
 //   {"kind":"gradient","layer":0,"bytes":1048576,"bucket":0}
 //   {"kind":"trace","model":"ResNet-50","config":"batch=64"}
 //
-// Streaming by construction: records are parsed line by line (the flat
-// parser from src/util/json.h), so peak memory is the output Trace plus one
-// line plus the correlation table — never the file. Timestamps and
+// Streaming by construction: records are parsed line by line
+// (ParseJsonObject from src/util/json.h, on the same tokenizer the Chrome
+// importer uses), so peak memory is the output Trace plus one line plus the
+// correlation table — never the file. Timestamps and
 // correlation ids decode through JsonObject::GetInt64, exact past 2^53.
 //
 // Correlation matching is one pass: each launching API (cudaLaunchKernel /

@@ -1,10 +1,9 @@
 #include "src/util/json.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
 
+#include "src/util/json_stream.h"
 #include "src/util/string_util.h"
 
 namespace daydream {
@@ -47,263 +46,67 @@ int64_t JsonObject::GetInt64(const std::string& key, int64_t fallback) const {
   return value->AsInt64().value_or(fallback);
 }
 
-namespace {
-
-// Recursive-descent over the flat subset; `pos` always points at the next
-// unconsumed byte. Errors set *error once (first failure wins).
-class Parser {
- public:
-  Parser(std::string_view text, std::string* error) : text_(text), error_(error) {}
-
-  std::optional<JsonObject> ParseObject() {
-    SkipSpace();
-    if (!Consume('{')) {
-      return Fail("expected '{'");
-    }
-    JsonObject object;
-    SkipSpace();
-    if (Consume('}')) {
-      return FinishAt(object);
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(&key)) {
-        return Fail("expected a string key");
-      }
-      if (object.Has(key)) {
-        return Fail("duplicate key '" + key + "'");
-      }
-      SkipSpace();
-      if (!Consume(':')) {
-        return Fail("expected ':' after key '" + key + "'");
-      }
-      SkipSpace();
-      JsonValue value;
-      if (!ParseValue(&value)) {
-        return std::nullopt;
-      }
-      object.Set(std::move(key), std::move(value));
-      SkipSpace();
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return FinishAt(object);
-      }
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
- private:
-  std::optional<JsonObject> FinishAt(JsonObject& object) {
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after the object");
-    }
-    return std::move(object);
-  }
-
-  std::optional<JsonObject> Fail(const std::string& message) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = message;
+std::optional<JsonObject> ParseJsonObject(std::string_view text, std::string* error) {
+  using TokenKind = JsonStreamTokenizer::TokenKind;
+  auto fail = [error](std::string message) -> std::optional<JsonObject> {
+    if (error != nullptr) {
+      *error = std::move(message);
     }
     return std::nullopt;
+  };
+  JsonStreamTokenizer tokens(text);
+  if (tokens.Next().kind != TokenKind::kBeginObject) {
+    return fail("expected '{'");
   }
-
-  bool FailValue(const std::string& message) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = message;
+  JsonObject object;
+  while (true) {
+    const JsonStreamTokenizer::Token* token = &tokens.Next();
+    if (token->kind == TokenKind::kEndObject) {
+      break;
     }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
+    if (token->kind != TokenKind::kKey) {
+      return fail(token->text);  // the tokenizer's error
     }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+    std::string key = token->text;
+    if (object.Has(key)) {
+      return fail("duplicate key '" + key + "'");
     }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue* value) {
-    if (pos_ >= text_.size()) {
-      return FailValue("unexpected end of input");
-    }
-    const char c = text_[pos_];
-    if (c == '"') {
-      value->kind = JsonValue::Kind::kString;
-      return ParseString(&value->string);
-    }
-    if (c == '{' || c == '[') {
-      return FailValue("nested containers are not part of the flat request protocol");
-    }
-    if (ConsumeWord("true")) {
-      value->kind = JsonValue::Kind::kBool;
-      value->boolean = true;
-      return true;
-    }
-    if (ConsumeWord("false")) {
-      value->kind = JsonValue::Kind::kBool;
-      value->boolean = false;
-      return true;
-    }
-    if (ConsumeWord("null")) {
-      value->kind = JsonValue::Kind::kNull;
-      return true;
-    }
-    return ParseNumber(value);
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return FailValue("expected '\"'");
-    }
-    out->clear();
-    while (true) {
-      if (pos_ >= text_.size()) {
-        return FailValue("unterminated string");
-      }
-      const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
-      if (c == '"') {
-        return true;
-      }
-      if (c < 0x20) {
-        return FailValue("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(static_cast<char>(c));
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return FailValue("truncated escape sequence");
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          unsigned code = 0;
-          if (!ParseHex4(&code)) {
-            return false;
-          }
-          AppendUtf8(out, code);
-          break;
+    token = &tokens.Next();
+    JsonValue value;
+    switch (token->kind) {
+      case TokenKind::kString:
+        value.kind = JsonValue::Kind::kString;
+        value.string = token->text;
+        break;
+      case TokenKind::kNumber:
+        value.kind = JsonValue::Kind::kNumber;
+        // from_chars rounds exactly as strtod does, without the locale; it
+        // refuses underflows, whose signed zero strtod still gets right.
+        if (std::from_chars(token->text.data(), token->text.data() + token->text.size(),
+                            value.number)
+                .ec != std::errc()) {
+          value.number = std::strtod(token->text.c_str(), nullptr);
         }
-        default:
-          return FailValue(std::string("invalid escape '\\") + esc + "'");
-      }
+        value.raw = token->text;
+        break;
+      case TokenKind::kBool:
+        value.kind = JsonValue::Kind::kBool;
+        value.boolean = token->boolean;
+        break;
+      case TokenKind::kNull:
+        break;
+      case TokenKind::kBeginObject:
+      case TokenKind::kBeginArray:
+        return fail("nested containers are not part of the flat request protocol");
+      default:
+        return fail(token->text);  // the tokenizer's error
     }
+    object.Set(std::move(key), std::move(value));
   }
-
-  bool ParseHex4(unsigned* code) {
-    if (pos_ + 4 > text_.size()) {
-      return FailValue("truncated \\u escape");
-    }
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + static_cast<size_t>(i)];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        return FailValue("invalid \\u escape");
-      }
-    }
-    pos_ += 4;
-    *code = value;
-    return true;
+  if (tokens.Next().kind != TokenKind::kEnd) {
+    return fail("trailing characters after the object");
   }
-
-  // Encodes a BMP code point (surrogates pass through as-is: the protocol
-  // never carries them, and replacing them would silently corrupt an echo).
-  static void AppendUtf8(std::string* out, unsigned code) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  bool ParseNumber(JsonValue* value) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (Consume('.')) {
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (token.empty() || token == "-") {
-      return FailValue("expected a value");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (errno != 0 || end != token.c_str() + token.size() || !std::isfinite(parsed)) {
-      return FailValue("invalid number '" + token + "'");
-    }
-    value->kind = JsonValue::Kind::kNumber;
-    value->number = parsed;
-    value->raw = token;
-    return true;
-  }
-
-  std::string_view text_;
-  std::string* error_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<JsonObject> ParseJsonObject(std::string_view text, std::string* error) {
-  std::string scratch;
-  Parser parser(text, error != nullptr ? error : &scratch);
-  return parser.ParseObject();
+  return object;
 }
 
 }  // namespace daydream

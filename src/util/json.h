@@ -1,14 +1,14 @@
-// Minimal JSON parsing for the service protocol (docs/serve.md).
+// Flat JSON objects: the serve protocol (docs/serve.md) and CUPTI records.
 //
-// `daydream serve` speaks line-delimited JSON: every request is one *flat*
+// Every `daydream serve` request and every CUPTI activity record is one *flat*
 // JSON object — string / number / boolean / null values only, no nested
-// containers. That restriction keeps the parser small enough to audit against
-// hostile input (the daemon reads untrusted bytes off a socket) while still
-// covering the whole protocol; responses, which we only ever *write*, are
-// free to nest. Anything outside the subset — nesting, duplicate keys,
-// trailing garbage, bad escapes, unterminated strings — is a parse error
-// with a message naming the offending construct, never a crash or a
-// silently-misread request.
+// containers; responses, which we only ever *write*, are free to nest. The
+// parser is a short loop over JsonStreamTokenizer (src/util/json_stream.h),
+// so the grammar and limits are the tokenizer's: standard JSON numbers of at
+// most 64 bytes, strings of at most 1 MiB. Anything outside that — nesting,
+// duplicate keys, trailing garbage, bad escapes, unterminated strings — is a
+// parse error with a message naming the offending construct, never a crash
+// or a silently-misread request.
 #ifndef SRC_UTIL_JSON_H_
 #define SRC_UTIL_JSON_H_
 

@@ -1,6 +1,5 @@
 #include "src/util/json_stream.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -15,32 +14,46 @@ bool IsNumberChar(char c) {
   return (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E';
 }
 
-// True for "-?D+(.D+)?" of at most 308 characters: strtod always accepts
-// such a token whole and finite (10^308 < DBL_MAX), so the common integer and
-// plain-decimal tokens skip it.
-bool IsPlainDecimal(std::string_view text) {
-  if (text.size() > 308) {
-    return false;
-  }
-  size_t i = text.size() > 0 && text[0] == '-' ? 1 : 0;
-  const size_t int_start = i;
-  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
+// True for a standard JSON number, -?(0|[1-9]D*)(.D+)?([eE][+-]?D+)?, with a
+// finite value. Without an exponent, a token of at most 308 characters is
+// below 10^308 < DBL_MAX, so only exponents and longer tokens need strtod.
+bool IsJsonNumber(const std::string& text) {
+  size_t i = 0;
+  auto digits = [&] {
+    const size_t from = i;
+    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
+      ++i;
+    }
+    return i > from;
+  };
+  if (i < text.size() && text[i] == '-') {
     ++i;
   }
-  if (i == int_start) {
-    return false;
-  }
-  if (i == text.size()) {
-    return true;
-  }
-  if (text[i] != '.') {
-    return false;
-  }
-  const size_t frac_start = ++i;
-  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
+  if (i < text.size() && text[i] == '0') {
     ++i;
+  } else if (!digits()) {
+    return false;
   }
-  return i > frac_start && i == text.size();
+  if (i < text.size() && text[i] == '.') {
+    ++i;
+    if (!digits()) {
+      return false;
+    }
+  }
+  const bool exponent = i < text.size() && (text[i] == 'e' || text[i] == 'E');
+  if (exponent) {
+    ++i;
+    if (i < text.size() && (text[i] == '+' || text[i] == '-')) {
+      ++i;
+    }
+    if (!digits()) {
+      return false;
+    }
+  }
+  if (i != text.size()) {
+    return false;
+  }
+  return (!exponent && text.size() <= 308) || std::isfinite(std::strtod(text.c_str(), nullptr));
 }
 
 }  // namespace
@@ -48,12 +61,22 @@ bool IsPlainDecimal(std::string_view text) {
 JsonStreamTokenizer::JsonStreamTokenizer(std::istream& in) : JsonStreamTokenizer(in, Limits()) {}
 
 JsonStreamTokenizer::JsonStreamTokenizer(std::istream& in, Limits limits)
-    : in_(in), limits_(limits), buf_(new char[kReadBufferBytes]) {}
+    : in_(&in),
+      limits_(limits),
+      read_buffer_(new char[kReadBufferBytes]),
+      buf_(read_buffer_.get()) {}
+
+JsonStreamTokenizer::JsonStreamTokenizer(std::string_view text)
+    : in_(nullptr), limits_(), buf_(text.data()), end_(text.size()) {}
 
 bool JsonStreamTokenizer::Refill() {
-  std::streambuf* sb = in_.rdbuf();
+  if (in_ == nullptr) {
+    return false;  // an in-memory document is all in buf_ already
+  }
+  std::streambuf* sb = in_->rdbuf();
   const std::streamsize got =
-      sb != nullptr ? sb->sgetn(buf_.get(), static_cast<std::streamsize>(kReadBufferBytes)) : 0;
+      sb != nullptr ? sb->sgetn(read_buffer_.get(), static_cast<std::streamsize>(kReadBufferBytes))
+                    : 0;
   buffer_offset_ += end_;
   pos_ = 0;
   end_ = got > 0 ? static_cast<size_t>(got) : 0;
@@ -108,10 +131,9 @@ const JsonStreamTokenizer::Token& JsonStreamTokenizer::Emit(TokenKind kind, bool
   return token_;
 }
 
-// Decodes the remainder of a string after the opening '"' into token_.text.
-// Same escape rules as the flat parser (src/util/json.cc); decoded size
-// capped by the limits. Runs of plain characters are copied out of the read
-// buffer in bulk.
+// Decodes the remainder of a string after the opening '"' into token_.text,
+// decoded size capped by the limits. Runs of plain characters are copied out
+// of the buffer in bulk.
 bool JsonStreamTokenizer::LexString() {
   std::string* out = &token_.text;
   out->clear();
@@ -120,8 +142,8 @@ bool JsonStreamTokenizer::LexString() {
       Fail("unterminated string");
       return false;
     }
-    const char* run = buf_.get() + pos_;
-    const char* run_end = buf_.get() + end_;
+    const char* run = buf_ + pos_;
+    const char* run_end = buf_ + end_;
     const char* stop = run;
     while (stop < run_end && *stop != '"' && *stop != '\\' &&
            static_cast<unsigned char>(*stop) >= 0x20) {
@@ -181,8 +203,8 @@ bool JsonStreamTokenizer::LexString() {
             return false;
           }
         }
-        // BMP-only UTF-8 encode, matching the flat parser: surrogate halves
-        // pass through as-is rather than corrupting the text.
+        // BMP-only UTF-8 encode: surrogate halves pass through as-is rather
+        // than corrupting the text.
         if (code < 0x80) {
           out->push_back(static_cast<char>(code));
         } else if (code < 0x800) {
@@ -213,15 +235,9 @@ bool JsonStreamTokenizer::LexNumber(char first) {
     }
     out->push_back(buf_[pos_++]);
   }
-  if (IsPlainDecimal(*out)) {
-    return true;
-  }
-  // Lexing is permissive; strtod over the whole token is the validator,
-  // exactly as in the flat parser.
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(out->c_str(), &end);
-  if (end != out->c_str() + out->size() || !std::isfinite(parsed)) {
+  // Lexing is permissive; the whole token is then checked against the
+  // grammar.
+  if (!IsJsonNumber(*out)) {
     Fail("invalid number '" + *out + "'");
     return false;
   }

@@ -1,21 +1,24 @@
-// Streaming JSON tokenizer for trace import.
+// Streaming JSON tokenizer: the one JSON lexer of the project.
 //
-// The flat-object parser in src/util/json.h is deliberately restricted to the
-// serve protocol's one-line requests; Chrome trace files are multi-megabyte
-// *nested* documents (an array of event objects, each with an `args` object)
-// that must not be materialized whole. This tokenizer pulls one token at a
-// time off a std::istream through a fixed read buffer (kReadBufferBytes,
-// refilled with sgetn). The only other state is the current token's text plus
-// a depth stack, both hard-capped by Limits, so peak resident memory is
-// bounded no matter how large the file is. The token's text storage is reused
-// from token to token, so a steady stream of tokens allocates nothing.
+// Chrome trace files are multi-megabyte *nested* documents (an array of event
+// objects, each with an `args` object) that must not be materialized whole;
+// CUPTI record lines and serve requests are flat objects, parsed by
+// ParseJsonObject (src/util/json.h) as a loop over these tokens. A stream is
+// pulled one token at a time through a fixed read buffer (kReadBufferBytes,
+// refilled with sgetn); an in-memory document is lexed in place from the
+// caller's string_view, with no copy and no read buffer. The only other state
+// is the current token's text plus a depth stack, both hard-capped by Limits,
+// so peak resident memory is bounded no matter how large the input is. The
+// token's text storage is reused from token to token, so a steady stream of
+// tokens allocates nothing.
 //
 // Grammar checking is strict (commas, colons, nesting, one top-level value,
-// no trailing garbage); anything malformed — truncated input, bad escapes,
-// absurd nesting depth, oversized strings — surfaces as a kError token with
-// a message and the byte offset, never a crash. Number tokens keep their raw
-// text so callers can decode int64-exact values (nanosecond timestamps,
-// correlation ids past 2^53) without a lossy double round trip.
+// no trailing garbage, standard JSON numbers with finite values); anything
+// malformed — truncated input, bad escapes, absurd nesting depth, oversized
+// strings — surfaces as a kError token with a message and the byte offset,
+// never a crash. Number tokens keep their raw text so callers can decode
+// int64-exact values (nanosecond timestamps, correlation ids past 2^53)
+// without a lossy double round trip.
 #ifndef SRC_UTIL_JSON_STREAM_H_
 #define SRC_UTIL_JSON_STREAM_H_
 
@@ -61,6 +64,9 @@ class JsonStreamTokenizer {
 
   explicit JsonStreamTokenizer(std::istream& in);
   JsonStreamTokenizer(std::istream& in, Limits limits);
+  // Lexes `text` in place, with the default limits; the caller keeps it
+  // alive while tokens are read.
+  explicit JsonStreamTokenizer(std::string_view text);
 
   // Advances to and returns the next token. After kEnd or kError every
   // further call returns the same token. The returned token (and its text)
@@ -77,8 +83,8 @@ class JsonStreamTokenizer {
   // not counted: its size never depends on the input.
   size_t max_buffered_bytes() const { return max_buffered_; }
 
-  // Size of the read buffer. A short read from the stream is not an end of
-  // input; only a read that returns nothing is.
+  // Size of a stream's read buffer. A short read from the stream is not an
+  // end of input; only a read that returns nothing is.
   static constexpr size_t kReadBufferBytes = 64 << 10;
 
  private:
@@ -108,13 +114,14 @@ class JsonStreamTokenizer {
   bool LexWord(std::string_view word, int first);
   void NoteBuffered(size_t bytes);
 
-  std::istream& in_;
+  std::istream* in_;  // null for an in-memory document
   const Limits limits_;
   Token token_;
   std::vector<Context> stack_;  // innermost last; empty once the value closed
   State state_ = State::kValueStart;
   size_t max_buffered_ = 0;
-  std::unique_ptr<char[]> buf_;  // kReadBufferBytes; unread bytes are [pos_, end_)
+  std::unique_ptr<char[]> read_buffer_;  // kReadBufferBytes, streams only
+  const char* buf_;  // unread bytes are [pos_, end_)
   size_t pos_ = 0;
   size_t end_ = 0;
   uint64_t buffer_offset_ = 0;  // document offset of buf_[0]

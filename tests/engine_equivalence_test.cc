@@ -37,8 +37,6 @@ void ExpectSameResult(const SimResult& reference, const SimResult& event) {
   EXPECT_EQ(reference.lane_threads, event.lane_threads);
   EXPECT_EQ(reference.lane_busy, event.lane_busy);
   EXPECT_EQ(reference.lane_end, event.lane_end);
-  EXPECT_EQ(reference.thread_busy(), event.thread_busy());
-  EXPECT_EQ(reference.thread_end(), event.thread_end());
   EXPECT_EQ(reference.dispatched, event.dispatched);
 }
 

@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdio>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -27,6 +28,7 @@
 #include "src/trace/trace_io.h"
 #include "src/util/fault.h"
 #include "src/util/json.h"
+#include "src/util/json_stream.h"
 
 namespace daydream {
 namespace {
@@ -276,7 +278,16 @@ TEST_F(ServeTest, UnknownFieldsAreRejectedNamingThem) {
         // open's fields set nothing on a session verb.
         std::make_pair("\"verb\": \"predict\", \"what_if\": \"amp\", "
                        "\"cache_capacity\": 1}",
-                       "unknown field 'cache_capacity' for predict")}) {
+                       "unknown field 'cache_capacity' for predict"),
+        // A false or null field sets nothing, but its name is still checked.
+        std::make_pair("\"verb\": \"predict\", \"what_if\": \"amp\", "
+                       "\"validat\": false}",
+                       "unknown field 'validat' for predict"),
+        std::make_pair("\"verb\": \"predict\", \"what_if\": \"amp\", "
+                       "\"validat\": false, \"clutser\": null}",
+                       "unknown field 'clutser' for predict"),
+        std::make_pair("\"verb\": \"sweep\", \"stict\": null}",
+                       "unknown field 'stict' for sweep")}) {
     const JsonObject response = Parse(executor.Handle(prefix + fields).line);
     EXPECT_FALSE(response.GetBool("ok", true)) << fields;
     EXPECT_EQ(response.GetString("code"), "bad_request") << fields;
@@ -287,6 +298,12 @@ TEST_F(ServeTest, UnknownFieldsAreRejectedNamingThem) {
                                "\"cluster\": \"8x8\", \"sim_jobs\": 1}")
           .line);
   EXPECT_TRUE(spelt.GetBool("ok")) << spelt.GetString("error");
+  // A known boolean sent as false is still a known field.
+  const JsonObject unset = Parse(
+      executor.Handle(prefix + "\"verb\": \"predict\", \"what_if\": \"amp\", "
+                               "\"validate\": false, \"sim_jobs\": null}")
+          .line);
+  EXPECT_TRUE(unset.GetBool("ok")) << unset.GetString("error");
 }
 
 TEST_F(ServeTest, PredictRejectsSizesPastTheDocumentedMaxima) {
@@ -663,6 +680,25 @@ TEST_F(ServeTest, PerRequestTimeoutCancelsInsidePredict) {
   EXPECT_EQ(bad.GetString("code"), "bad_request");
 }
 
+TEST_F(ServeTest, HugeTimeoutsAndCapacitiesNeverBind) {
+  // 1e308 used to overflow the integer casts: the timeout answered
+  // deadline_exceeded at once and the capacity came out as 0, so nothing
+  // was ever cached.
+  RequestExecutor executor;
+  const JsonObject opened = Parse(executor.Handle("{\"verb\": \"open\", \"trace\": \"" +
+                                                  *trace_path_ + "\", \"cache_capacity\": 1e308}")
+                                      .line);
+  ASSERT_TRUE(opened.GetBool("ok")) << opened.GetString("error");
+  const std::string predict =
+      "{\"verb\": \"predict\", \"session\": \"" + opened.GetString("session") +
+      "\", \"what_if\": \"amp\", \"timeout_ms\": ";
+  for (const char* timeout : {"1e308", "9007199254740993"}) {
+    const JsonObject response = Parse(executor.Handle(predict + timeout + "}").line);
+    EXPECT_TRUE(response.GetBool("ok")) << timeout << ": " << response.GetString("error");
+  }
+  EXPECT_TRUE(Parse(executor.Handle(predict + "1e308}").line).GetBool("cache_hit"));
+}
+
 TEST_F(ServeTest, SessionQuotaEvictsLruAndSessionCloseAliasWorks) {
   ServeLimits limits;
   limits.max_sessions = 2;
@@ -720,6 +756,158 @@ TEST_F(ServeTest, StatsReportsTheConfiguredLimits) {
   // faults_fired is cumulative for the process, so other tests in this binary
   // may have bumped it; just require the field to be present and sane.
   EXPECT_GE(stats.GetNumber("faults_fired", -1.0), 0.0);
+}
+
+// ---- Seeded request mutation ----
+
+// Hostile variants of valid requests: the one JSON lexer must answer each
+// with an object or a non-empty error, and the executor with exactly one
+// line that is itself an envelope. No fuzzing engine is needed: the
+// mutations are drawn from a fixed seed, so every run replays the same lines.
+class RequestMutation : public ServeTest {
+ protected:
+  // One valid request per verb; SESSION and TRACE are filled in per run.
+  static std::vector<std::string> SeedRequests() {
+    return {
+        R"({"id": 1, "verb": "ping"})",
+        R"({"id": 2, "verb": "version"})",
+        R"({"id": 3, "verb": "sessions"})",
+        R"({"id": 4, "verb": "open", "trace": "TRACE", "cache_capacity": 4})",
+        R"({"id": 5, "verb": "stats", "session": "SESSION"})",
+        R"({"id": 6, "verb": "report", "session": "SESSION"})",
+        R"({"id": 7, "verb": "predict", "session": "SESSION", "what_if": "distributed", )"
+        R"("cluster": "2x2", "gbps": 25, "sim_jobs": 1, "timeout_ms": 60000})",
+        R"({"id": 8, "verb": "predict", "session": "SESSION", "what_if": "pipeline", )"
+        R"("pipeline_stages": 2, "microbatches": 4, "validate": true})",
+        R"({"id": 9, "verb": "lint", "session": "SESSION", "what_if": "amp", "strict": true})",
+        R"({"id": 10, "verb": "sweep", "session": "SESSION", "cluster": "2x1", "gbps": "10,25", )"
+        R"("jobs": 1})",
+        R"({"id": 11, "verb": "close", "session": "SESSION"})",
+        R"({"id": 12, "verb": "shutdown"})",
+    };
+  }
+
+  // Every mutant of `line`: truncations, flipped and inserted bytes (drawn
+  // from `rng`), each member duplicated, each number set to an edge value,
+  // and each string value grown to 1 MiB and one byte past it.
+  static std::vector<std::string> Mutants(const std::string& line, std::mt19937* rng) {
+    std::vector<std::string> out;
+    auto pick = [rng](size_t n) { return static_cast<size_t>((*rng)() % n); };
+    for (int i = 0; i < 6; ++i) {
+      out.push_back(line.substr(0, pick(line.size())));
+      std::string flipped = line;
+      flipped[pick(line.size())] ^= static_cast<char>(1 << pick(8));
+      out.push_back(flipped);
+      static const char kInserted[] = {'"', '\\', '{', '}', '[', ',', ':', '-', '.', 'e',
+                                       '0', '9', ' ', '\n', '\0', '\x7f', '\xc3', '\xff'};
+      std::string inserted = line;
+      inserted.insert(pick(line.size() + 1), 1, kInserted[pick(sizeof(kInserted))]);
+      out.push_back(inserted);
+    }
+    // Members are `"key": value` runs between the separators ", ".
+    size_t begin = 1;
+    while (begin < line.size()) {
+      size_t end = line.find(", \"", begin);
+      if (end == std::string::npos) {
+        end = line.size() - 1;  // the closing brace
+      }
+      const std::string member = line.substr(begin, end - begin);
+      out.push_back(line.substr(0, end) + ", " + member + line.substr(end));
+      const size_t colon = member.find(": ");
+      const std::string head = line.substr(0, begin + colon + 2);
+      const std::string tail = line.substr(end);
+      if (member[colon + 2] == '"') {
+        for (const size_t bytes : {size_t{1} << 20, (size_t{1} << 20) + 1}) {
+          out.push_back(head + '"' + std::string(bytes, 'x') + '"' + tail);
+        }
+      } else if (member[colon + 2] != 't') {
+        for (const char* edge :
+             {"0", "-1", "2147483647", "9007199254740993", "1e308", "1e309"}) {
+          out.push_back(head + edge + tail);
+        }
+      }
+      begin = end + 2;
+    }
+    return out;
+  }
+
+  // Why `line` is not an envelope ("" when it is): one JSON object whose
+  // top level has a boolean "ok" and, when it is false, non-empty "code" and
+  // "error" strings. Responses may nest, so this walks the tokens instead of
+  // using the flat request parser.
+  static std::string EnvelopeProblem(const std::string& line) {
+    using TokenKind = JsonStreamTokenizer::TokenKind;
+    JsonStreamTokenizer tokens{std::string_view(line)};
+    if (tokens.Next().kind != TokenKind::kBeginObject) {
+      return "not an object";
+    }
+    std::optional<bool> ok;
+    std::string code;
+    std::string error;
+    std::string key;
+    int depth = 1;
+    for (const JsonStreamTokenizer::Token* token = &tokens.Next();
+         token->kind != TokenKind::kEnd; token = &tokens.Next()) {
+      if (token->kind == TokenKind::kError) {
+        return token->text;
+      }
+      if (depth == 1 && token->kind == TokenKind::kKey) {
+        key = token->text;
+      } else if (depth == 1 && key == "ok" && token->kind == TokenKind::kBool) {
+        ok = token->boolean;
+      } else if (depth == 1 && key == "code" && token->kind == TokenKind::kString) {
+        code = token->text;
+      } else if (depth == 1 && key == "error" && token->kind == TokenKind::kString) {
+        error = token->text;
+      }
+      if (token->kind == TokenKind::kBeginObject || token->kind == TokenKind::kBeginArray) {
+        ++depth;
+      } else if (token->kind == TokenKind::kEndObject || token->kind == TokenKind::kEndArray) {
+        --depth;
+      }
+    }
+    if (!ok.has_value()) {
+      return "no boolean \"ok\"";
+    }
+    if (!*ok && (code.empty() || error.empty())) {
+      return "an error envelope without \"code\" and \"error\"";
+    }
+    return "";
+  }
+
+  static void Replace(std::string* text, const std::string& from, const std::string& to) {
+    const size_t at = text->find(from);
+    if (at != std::string::npos) {
+      text->replace(at, from.size(), to);
+    }
+  }
+};
+
+TEST_F(RequestMutation, EveryMutantIsParsedOrNamedAndAnsweredWithOneEnvelope) {
+  RequestExecutor executor;
+  std::string handle = Open(&executor);
+  std::mt19937 rng(20200715);
+  size_t mutants = 0;
+  for (std::string seed : SeedRequests()) {
+    Replace(&seed, "TRACE", *trace_path_);
+    Replace(&seed, "SESSION", handle);
+    for (const std::string& line : Mutants(seed, &rng)) {
+      ++mutants;
+      const std::string shown = line.substr(0, 200);
+      std::string error;
+      const std::optional<JsonObject> request = ParseJsonObject(line, &error);
+      EXPECT_TRUE(request.has_value() || !error.empty()) << shown;
+
+      const std::string response = executor.Handle(line).line;
+      EXPECT_EQ(response.find('\n'), std::string::npos) << shown;
+      EXPECT_EQ(EnvelopeProblem(response), "")
+          << "request: " << shown << "\nresponse: " << response.substr(0, 200);
+      if (executor.sessions().Get(handle) == nullptr) {
+        handle = Open(&executor);  // a mutant closed it; later seeds need one
+      }
+    }
+  }
+  EXPECT_GT(mutants, 300u);
 }
 
 // ---- Graceful drain (subprocess) ----

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/simulator.h"
 
 namespace daydream {
@@ -13,6 +15,13 @@ Task Make(TaskType type, ExecThread thread, TimeNs dur, TimeNs gap = 0, int prio
   t.gap = gap;
   t.priority = priority;
   return t;
+}
+
+// Index of `thread` in the result's lane table; lane_threads.size() when
+// the thread has no lane.
+size_t LaneOf(const SimResult& r, ExecThread thread) {
+  return static_cast<size_t>(std::find(r.lane_threads.begin(), r.lane_threads.end(), thread) -
+                             r.lane_threads.begin());
 }
 
 TEST(Simulator, EmptyGraph) {
@@ -99,16 +108,17 @@ TEST(Simulator, ThreadBusyAccounting) {
   g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(10)));
   g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(15)));
   const SimResult r = Simulator().Run(g);
-  // Flat lane-indexed accounting plus the map-shaped compatibility view.
   ASSERT_EQ(r.lane_busy.size(), 1u);
   EXPECT_EQ(r.lane_threads[0], ExecThread::Cpu(0));
   EXPECT_EQ(r.lane_busy[0], Us(25));
   EXPECT_EQ(r.lane_end[0], Us(25));
-  EXPECT_EQ(r.thread_busy().at(ExecThread::Cpu(0)), Us(25));
-  EXPECT_EQ(r.thread_end().at(ExecThread::Cpu(0)), Us(25));
+  const size_t cpu = LaneOf(r, ExecThread::Cpu(0));
+  ASSERT_LT(cpu, r.lane_busy.size());
+  EXPECT_EQ(r.lane_busy[cpu], Us(25));
+  EXPECT_EQ(r.lane_end[cpu], Us(25));
 }
 
-TEST(Simulator, LanesThatNeverDispatchStayOutOfTheMapViews) {
+TEST(Simulator, LanesThatNeverDispatchKeepNoEnd) {
   DependencyGraph g;
   const TaskId a = g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(10)));
   g.AddTask(Make(TaskType::kGpu, ExecThread::Gpu(0), Us(10)));
@@ -117,9 +127,14 @@ TEST(Simulator, LanesThatNeverDispatchStayOutOfTheMapViews) {
   ASSERT_EQ(r.lane_end.size(), 2u);
   EXPECT_EQ(r.lane_end[0], -1);
   EXPECT_EQ(r.lane_busy[0], 0);
-  EXPECT_EQ(r.thread_busy().count(ExecThread::Cpu(0)), 0u);
-  EXPECT_EQ(r.thread_end().count(ExecThread::Cpu(0)), 0u);
-  EXPECT_EQ(r.thread_end().at(ExecThread::Gpu(0)), Us(10));
+  // Looked up by thread: the emptied CPU lane has no end and no busy time.
+  const size_t cpu = LaneOf(r, ExecThread::Cpu(0));
+  const size_t gpu = LaneOf(r, ExecThread::Gpu(0));
+  ASSERT_LT(cpu, r.lane_end.size());
+  ASSERT_LT(gpu, r.lane_end.size());
+  EXPECT_EQ(r.lane_end[cpu], -1);
+  EXPECT_EQ(r.lane_busy[cpu], 0);
+  EXPECT_EQ(r.lane_end[gpu], Us(10));
 }
 
 TEST(Simulator, DispatchCountsAliveOnly) {

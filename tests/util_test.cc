@@ -335,7 +335,7 @@ TEST(Json, NamesTheOffendingConstructOnParseErrors) {
   const std::pair<const char*, const char*> cases[] = {
       {"", "expected '{'"},
       {"predict", "expected '{'"},
-      {"{1: 2}", "expected '\"'"},
+      {"{1: 2}", "expected a string key"},
       {"{\"a\" 1}", "expected ':' after key 'a'"},
       {"{\"a\": 1, \"a\": 2}", "duplicate key 'a'"},
       {"{\"a\": [1]}", "nested containers are not part of the flat request protocol"},
@@ -346,8 +346,12 @@ TEST(Json, NamesTheOffendingConstructOnParseErrors) {
       {"{\"a\": \"bad\\x\"}", "invalid escape '\\x'"},
       {"{\"a\": \"bad\\u12\"}", "invalid \\u escape"},
       {"{\"a\": 1e}", "invalid number '1e'"},
-      {"{\"a\": nope}", "expected a value"},
-      {"{\"a\": 1", "expected ',' or '}' in object"},
+      {"{\"a\": 01}", "invalid number '01'"},
+      {"{\"a\": nope}", "invalid literal"},
+      {"{\"a\": .5}", "expected a value"},
+      {"{\"a\": 1234567890123456789012345678901234567890123456789012345678901234567890}",
+       "number exceeds the size limit"},
+      {"{\"a\": 1", "unexpected end of input"},
   };
   for (const auto& [text, expected] : cases) {
     std::string error;
