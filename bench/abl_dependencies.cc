@@ -28,7 +28,7 @@ double ReplayError(const DependencyGraph& graph, const Trace& trace) {
 // Remove all launch->kernel correlation edges (dependency type 3).
 void DropCorrelationEdges(DependencyGraph* g) {
   for (TaskId gpu : g->Select(IsOnGpu())) {
-    for (TaskId p : std::vector<TaskId>(g->parents(gpu))) {
+    for (TaskId p : ToVector(g->parents(gpu))) {
       if (g->task(p).is_cpu()) {
         g->RemoveEdge(p, gpu);
       }
@@ -39,7 +39,7 @@ void DropCorrelationEdges(DependencyGraph* g) {
 // Remove GPU->CPU synchronization edges (dependency type 4).
 void DropSyncEdges(DependencyGraph* g) {
   for (TaskId cpu : g->Select(IsOnCpu())) {
-    for (TaskId p : std::vector<TaskId>(g->parents(cpu))) {
+    for (TaskId p : ToVector(g->parents(cpu))) {
       if (g->task(p).is_gpu()) {
         g->RemoveEdge(p, cpu);
       }

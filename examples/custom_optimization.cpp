@@ -45,7 +45,7 @@ int main() {
     for (size_t i = 1; i < elementwise.size(); i += 2) {
       const TaskId victim = elementwise[i];
       // Remove the victim's launch too — that is where the CPU time goes.
-      for (TaskId p : std::vector<TaskId>(g->parents(victim))) {
+      for (TaskId p : ToVector(g->parents(victim))) {
         if (g->task(p).is_cpu() && g->task(p).api == ApiKind::kLaunchKernel) {
           g->Remove(p);
         }

@@ -240,10 +240,8 @@ void DependencyGraph::Remove(TaskId id) {
   DD_CHECK(alive(id));
   Unlink(id);
   Node& n = node(id);
-  const std::vector<TaskId> parents = std::move(n.parents);
-  const std::vector<TaskId> children = std::move(n.children);
-  n.parents.clear();
-  n.children.clear();
+  const EdgeList parents = std::move(n.parents);  // leaves the node's lists empty
+  const EdgeList children = std::move(n.children);
   for (TaskId p : parents) {
     auto& pc = node(p).children;
     pc.erase(std::find(pc.begin(), pc.end(), id));
@@ -511,8 +509,15 @@ std::vector<TaskId> DependencyGraph::AliveTasks() const {
   return out;
 }
 
-const std::vector<TaskId>& DependencyGraph::parents(TaskId id) const { return node(id).parents; }
-const std::vector<TaskId>& DependencyGraph::children(TaskId id) const { return node(id).children; }
+std::span<const TaskId> DependencyGraph::parents(TaskId id) const {
+  const EdgeList& edges = node(id).parents;
+  return {edges.data(), edges.size()};
+}
+
+std::span<const TaskId> DependencyGraph::children(TaskId id) const {
+  const EdgeList& edges = node(id).children;
+  return {edges.data(), edges.size()};
+}
 
 std::vector<ExecThread> DependencyGraph::Threads() const {
   std::vector<ExecThread> out;
@@ -565,7 +570,7 @@ size_t DependencyGraph::ResidentBytes() const {
   size_t bytes = tasks_.capacity() * sizeof(Node) + threads_.capacity() * sizeof(ThreadSeq) +
                  meta_.capacity() * sizeof(TaskMeta);
   for (const Node& n : tasks_) {
-    bytes += (n.parents.capacity() + n.children.capacity()) * sizeof(TaskId);
+    bytes += n.parents.HeapBytes() + n.children.HeapBytes();
   }
   return bytes;
 }

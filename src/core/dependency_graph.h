@@ -15,19 +15,26 @@
 //   - Select keeps lazily built secondary indexes (per-phase and per-layer id
 //     buckets) that serve structured TaskQuery lookups in O(matches); opaque
 //     predicates fall back to the full scan.
-//   - Clone() is the cheap copy for the sweep's clone-per-case pattern: it
-//     reserves insertion headroom (a tight copy pays one full O(V) node move
-//     on the first post-clone AddTask), drops the payloads of dead nodes, and
-//     copies the interned thread table instead of re-interning.
+//   - Edge lists are EdgeLists (src/core/edge_list.h): up to four ids inline
+//     in the node, in insertion order, spilling to the heap only past that.
+//   - Clone() is the cheap copy for the what-if pipeline's clone-per-answer
+//     pattern: it reserves insertion headroom (a tight copy pays one full
+//     O(V) node move on the first post-clone AddTask), drops the payloads of
+//     dead nodes, and copies the interned thread table instead of
+//     re-interning. A node's inline edge lists copy without allocating, so
+//     the only per-task allocations left are task names (and the rare
+//     spilled list), and freeing a clone frees just those.
 #ifndef SRC_CORE_DEPENDENCY_GRAPH_H_
 #define SRC_CORE_DEPENDENCY_GRAPH_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/edge_list.h"
 #include "src/core/task.h"
 
 namespace daydream {
@@ -100,8 +107,11 @@ class DependencyGraph {
   std::vector<TaskId> AliveTasks() const;
   int num_alive() const { return num_alive_; }
 
-  const std::vector<TaskId>& parents(TaskId id) const;
-  const std::vector<TaskId>& children(TaskId id) const;
+  // A task's dependency edges, in insertion order. The span points into the
+  // node: adding a task or editing that task's edges invalidates it, so copy
+  // it (ToVector) before such a mutation.
+  std::span<const TaskId> parents(TaskId id) const;
+  std::span<const TaskId> children(TaskId id) const;
 
   // Thread sequences (alive tasks, in order). Threads() is sorted by
   // ExecThread order.
@@ -134,9 +144,11 @@ class DependencyGraph {
   // forcing a fresh plan compile).
   uint64_t structure_stamp() const { return structure_stamp_; }
 
-  // Heap bytes held by the nodes, their edge lists and the lane table (an
-  // estimate for memory quotas: vector capacities, not task-name strings or
-  // the lazily built select indexes).
+  // Heap bytes held by the node array, the spilled edge lists, the lane table
+  // and the per-task select records (an estimate for memory quotas: container
+  // capacities, not task-name strings or the select buckets). An edge list of
+  // up to EdgeList::kInlineCapacity ids lives inside its node, so it adds
+  // nothing beyond the node array.
   size_t ResidentBytes() const;
 
   // ---- Validation & stats ----
@@ -172,8 +184,8 @@ class DependencyGraph {
 
   struct Node {
     Task task;
-    std::vector<TaskId> parents;
-    std::vector<TaskId> children;
+    EdgeList parents;
+    EdgeList children;
     // Intrusive thread-sequence links; only alive nodes are linked.
     TaskId seq_prev = kInvalidTask;
     TaskId seq_next = kInvalidTask;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <sstream>
 #include <utility>
@@ -143,6 +144,32 @@ LintFinding MakeFinding(const char* pass, LintSeverity severity, std::string mes
   return f;
 }
 
+// The smallest id listed more than once, if any. Lists of up to
+// kPairwiseScanMax ids (all but the fan-in hubs a Remove leaves behind)
+// compare every pair in place; longer ones sort a scratch copy, O(d log d).
+constexpr size_t kPairwiseScanMax = 8;
+
+std::optional<TaskId> SmallestDuplicate(const EdgeList& ids, std::vector<TaskId>* scratch) {
+  std::optional<TaskId> dup;
+  if (ids.size() <= kPairwiseScanMax) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (size_t j = i + 1; j < ids.size(); ++j) {
+        if (ids[i] == ids[j] && (!dup || ids[i] < *dup)) {
+          dup = ids[i];
+        }
+      }
+    }
+    return dup;
+  }
+  scratch->assign(ids.begin(), ids.end());
+  std::sort(scratch->begin(), scratch->end());
+  const auto it = std::adjacent_find(scratch->begin(), scratch->end());
+  if (it != scratch->end()) {
+    dup = *it;
+  }
+  return dup;
+}
+
 }  // namespace
 
 void GraphLint::PassEdgeIntegrity(const DependencyGraph& graph, Sink* sink) {
@@ -198,21 +225,13 @@ void GraphLint::PassEdgeIntegrity(const DependencyGraph& graph, Sink* sink) {
             {p, id}));
       }
     }
-    // Duplicate check over a sorted scratch copy: O(d log d), usable on
-    // post-Remove high-fanout nodes.
-    scratch.assign(n.children.begin(), n.children.end());
-    std::sort(scratch.begin(), scratch.end());
-    const auto dup = std::adjacent_find(scratch.begin(), scratch.end());
-    if (dup != scratch.end()) {
+    if (const std::optional<TaskId> dup = SmallestDuplicate(n.children, &scratch)) {
       sink->Emit(MakeFinding("edge-integrity", LintSeverity::kError,
                              StrFormat("duplicate edge %s -> %s", TaskRef(graph, id).c_str(),
                                        TaskRef(graph, *dup).c_str()),
                              {id, *dup}));
     }
-    scratch.assign(n.parents.begin(), n.parents.end());
-    std::sort(scratch.begin(), scratch.end());
-    const auto rdup = std::adjacent_find(scratch.begin(), scratch.end());
-    if (rdup != scratch.end()) {
+    if (const std::optional<TaskId> rdup = SmallestDuplicate(n.parents, &scratch)) {
       sink->Emit(MakeFinding("edge-integrity", LintSeverity::kError,
                              StrFormat("duplicate reverse edge %s <- %s",
                                        TaskRef(graph, id).c_str(), TaskRef(graph, *rdup).c_str()),

@@ -39,8 +39,8 @@ void WhatIfBlueConnect(DependencyGraph* graph, const ClusterConfig& cluster) {
   for (TaskId ar : allreduces) {
     const int64_t bytes = graph->task(ar).bytes;
     const std::string base = graph->task(ar).name;
-    const std::vector<TaskId> parents = graph->parents(ar);
-    const std::vector<TaskId> children = graph->children(ar);
+    const std::vector<TaskId> parents = ToVector(graph->parents(ar));
+    const std::vector<TaskId> children = ToVector(graph->children(ar));
     graph->Remove(ar);  // rewires parents->children; the pipeline adds the real path
 
     const TimeNs intra_rs =

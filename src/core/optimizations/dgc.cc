@@ -57,7 +57,7 @@ void WhatIfDgc(DependencyGraph* graph, const DgcWhatIf& options) {
     compress.phase = Phase::kBackward;
 
     // Splice: parents(gradients ready) -> compress -> allReduce.
-    const std::vector<TaskId> parents = graph->parents(ar);
+    const std::vector<TaskId> parents = ToVector(graph->parents(ar));
     TaskId gpu_anchor = kInvalidTask;
     for (TaskId p : parents) {
       if (graph->task(p).is_gpu()) {

@@ -250,8 +250,14 @@ bool JsonStreamTokenizer::LexWord(std::string_view word, int first) {
     return false;
   }
   for (size_t i = 1; i < word.size(); ++i) {
-    if (GetChar() != word[i]) {
-      Fail("invalid literal");
+    const int c = GetChar();
+    if (c != word[i]) {
+      // Quote what was read, up to and including the first wrong byte.
+      std::string read(word.substr(0, i));
+      if (c >= 0) {
+        read.push_back(static_cast<char>(c));
+      }
+      Fail("invalid literal '" + read + "' (expected '" + std::string(word) + "')");
       return false;
     }
   }

@@ -187,6 +187,42 @@ TEST(GraphLintPass, DuplicateEdge) {
             std::string::npos);
 }
 
+// The duplicate scan compares pairs in place on short lists and sorts a copy
+// on long ones; both must name the smallest repeated id, whatever the order
+// the duplicates were added in.
+TEST(GraphLintPass, DuplicateEdgesNameTheSmallestRepeatedIdOnShortAndLongLists) {
+  for (int fanout : {3, 12}) {
+    SCOPED_TRACE(testing::Message() << "fanout " << fanout);
+    DependencyGraph g;
+    const TaskId hub = g.AddTask(CpuTask("hub"));
+    std::vector<TaskId> kernels;
+    for (int i = 0; i < fanout; ++i) {
+      kernels.push_back(g.AddTask(GpuTask("k" + std::to_string(i))));
+      g.AddEdge(hub, kernels.back());
+    }
+    g.LinkSequential();
+    const TaskId first = kernels.front();
+    const TaskId last = kernels.back();
+    GraphCorruptor::AddRawChild(&g, hub, last);
+    GraphCorruptor::AddRawChild(&g, hub, first);
+    GraphCorruptor::AddRawParent(&g, last, hub);
+    GraphCorruptor::AddRawParent(&g, first, hub);
+
+    const LintReport report = GraphLint::LintStructure(g);
+    std::vector<std::string> messages;
+    for (const LintFinding* f : FindingsIn(report, "edge-integrity")) {
+      messages.push_back(f->message);
+    }
+    const std::string last_name = "k" + std::to_string(fanout - 1);
+    EXPECT_EQ(messages, (std::vector<std::string>{
+                            "duplicate edge task 0 ('hub') -> task 1 ('k0')",
+                            "duplicate reverse edge task 1 ('k0') <- task 0 ('hub')",
+                            "duplicate reverse edge task " + std::to_string(last) + " ('" +
+                                last_name + "') <- task 0 ('hub')",
+                        }));
+  }
+}
+
 TEST(GraphLintPass, SelfEdge) {
   DependencyGraph g = SmallGraph();
   const TaskId a = g.AliveTasks().front();

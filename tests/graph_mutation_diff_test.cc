@@ -2,15 +2,17 @@
 //
 // The production graph stores thread sequences intrusively (prev/next links +
 // an interned thread table) and answers structured selects from lazily
-// maintained phase/layer indexes. This test drives identical operation
-// sequences through the production graph and through ReferenceGraph — a
-// deliberately naive transcription of the pre-change storage model
-// (std::map<ExecThread, std::vector<TaskId>> sequences, linear-scan selects) —
+// maintained phase/layer indexes, and keeps short edge lists inline
+// (EdgeList). This test drives identical operation sequences through the
+// production graph and through ReferenceGraph — a deliberately naive
+// transcription of the pre-change storage model (std::map<ExecThread,
+// std::vector<TaskId>> sequences, vector edge lists, linear-scan selects) —
 // and asserts the two agree on every observable: thread sets and sequences,
 // adjacency, topological order, select results, and Validate.
 //
 // Runs in every ctest config, including -DDAYDREAM_SANITIZE=ON, which makes it
-// the ASan/UBSan stress for the intrusive link surgery.
+// the ASan/UBSan stress for the intrusive link surgery and the edge lists'
+// inline-to-heap spills.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,6 +264,9 @@ struct Fuzzer {
   DependencyGraph graph;
   ReferenceGraph reference;
   std::vector<TaskId> live;
+  // Longest edge list compared against the reference so far; past
+  // EdgeList::kInlineCapacity it was compared from spilled storage.
+  size_t longest_list = 0;
 
   explicit Fuzzer(uint32_t seed) : rng(seed) {}
 
@@ -451,8 +456,10 @@ struct Fuzzer {
     ASSERT_EQ(chained, graph.num_alive());
 
     for (TaskId id : live) {
-      ASSERT_EQ(graph.parents(id), reference.parents(id)) << "parents of " << id;
-      ASSERT_EQ(graph.children(id), reference.children(id)) << "children of " << id;
+      ASSERT_EQ(ToVector(graph.parents(id)), reference.parents(id)) << "parents of " << id;
+      ASSERT_EQ(ToVector(graph.children(id)), reference.children(id)) << "children of " << id;
+      longest_list =
+          std::max({longest_list, graph.parents(id).size(), graph.children(id).size()});
     }
     ASSERT_EQ(graph.TopologicalOrder(), reference.TopologicalOrder());
 
@@ -532,6 +539,7 @@ struct Fuzzer {
 };
 
 TEST(GraphMutationDiff, RandomizedAgainstReference) {
+  size_t longest_list = 0;
   for (uint32_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     Fuzzer fuzzer(seed);
@@ -539,7 +547,10 @@ TEST(GraphMutationDiff, RandomizedAgainstReference) {
     if (testing::Test::HasFatalFailure()) {
       return;
     }
+    longest_list = std::max(longest_list, fuzzer.longest_list);
   }
+  // The comparison must cover lists that outgrew the inline storage.
+  EXPECT_GT(longest_list, EdgeList::kInlineCapacity);
 }
 
 TEST(GraphMutationDiff, CloneMatchesOriginalAndStaysIndependent) {
@@ -556,8 +567,8 @@ TEST(GraphMutationDiff, CloneMatchesOriginalAndStaysIndependent) {
     ASSERT_EQ(clone.ThreadSequence(thread), fuzzer.graph.ThreadSequence(thread));
   }
   for (TaskId id : fuzzer.graph.AliveTasks()) {
-    ASSERT_EQ(clone.parents(id), fuzzer.graph.parents(id));
-    ASSERT_EQ(clone.children(id), fuzzer.graph.children(id));
+    ASSERT_EQ(ToVector(clone.parents(id)), ToVector(fuzzer.graph.parents(id)));
+    ASSERT_EQ(ToVector(clone.children(id)), ToVector(fuzzer.graph.children(id)));
     ASSERT_EQ(clone.task(id).name, fuzzer.graph.task(id).name);
   }
   std::string error;

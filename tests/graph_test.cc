@@ -35,8 +35,8 @@ TEST(DependencyGraph, AddTaskAndEdges) {
   const TaskId b = g.AddTask(CpuTask("b"));
   g.AddEdge(a, b);
   EXPECT_TRUE(g.HasEdge(a, b));
-  EXPECT_EQ(g.children(a), std::vector<TaskId>{b});
-  EXPECT_EQ(g.parents(b), std::vector<TaskId>{a});
+  EXPECT_EQ(ToVector(g.children(a)), std::vector<TaskId>{b});
+  EXPECT_EQ(ToVector(g.parents(b)), std::vector<TaskId>{a});
   EXPECT_EQ(g.num_alive(), 2);
 }
 
@@ -209,7 +209,7 @@ TEST(DependencyGraph, RemoveDeduplicatesRewiredEdges) {
   g.LinkSequential();
   g.AddEdge(a, c);
   g.Remove(b);
-  EXPECT_EQ(g.children(a), std::vector<TaskId>{c});
+  EXPECT_EQ(ToVector(g.children(a)), std::vector<TaskId>{c});
   std::string error;
   EXPECT_TRUE(g.Validate(&error)) << error;
 }
@@ -248,6 +248,25 @@ TEST(DependencyGraph, CloneCompactsDeadNodesAndStaysIndependent) {
   std::string error;
   EXPECT_TRUE(clone.Validate(&error)) << error;
   EXPECT_TRUE(g.Validate(&error)) << error;
+}
+
+// Inline edge storage is part of the node array, so only lists that outgrow
+// it add heap bytes.
+TEST(DependencyGraph, ResidentBytesCountOnlySpilledEdgeStorage) {
+  DependencyGraph g;
+  std::vector<TaskId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(g.AddTask(CpuTask("t" + std::to_string(i))));
+  }
+  const size_t edgeless = g.ResidentBytes();  // nodes + lanes + select records
+  for (int i = 1; i <= static_cast<int>(EdgeList::kInlineCapacity); ++i) {
+    g.AddEdge(ids[0], ids[static_cast<size_t>(i)]);
+  }
+  g.AddEdge(ids[4], ids[5]);
+  EXPECT_EQ(g.ResidentBytes(), edgeless);
+
+  g.AddEdge(ids[0], ids[5]);  // the hub's fifth child spills its list
+  EXPECT_GE(g.ResidentBytes(), edgeless + (EdgeList::kInlineCapacity + 1) * sizeof(TaskId));
 }
 
 TEST(DependencyGraph, IndexedSelectTracksFieldMutations) {

@@ -618,14 +618,15 @@ TEST_F(ServeTest, FullQueueShedsWithOverloadedEnvelopes) {
 TEST_F(ServeTest, QueuedRequestPastItsDeadlineIsAnsweredWithoutExecuting) {
   FaultGuard guard;
   std::string error;
-  // The first request holds the only worker for ~40ms; the second's 5ms
+  // The first request holds the only worker for ~1s; the second's 200ms
   // admission deadline expires while it waits and it must be answered at
-  // dequeue, not executed.
-  ASSERT_TRUE(FaultInjector::Global().ArmSpec("worker_execute:delay:1:40", &error)) << error;
+  // dequeue, not executed. The deadline is wide so the first request is
+  // always dequeued within it, even on a loaded sanitizer host.
+  ASSERT_TRUE(FaultInjector::Global().ArmSpec("worker_execute:delay:1:1000", &error)) << error;
 
   ServeOptions options;
   options.workers = 1;
-  options.limits.request_timeout_ms = 5;
+  options.limits.request_timeout_ms = 200;
   std::istringstream in(
       "{\"id\": 1, \"verb\": \"ping\"}\n"
       "{\"id\": 2, \"verb\": \"ping\"}\n");

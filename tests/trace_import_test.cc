@@ -573,8 +573,8 @@ TEST(ChromeImport, ImportedTraceBuildsTheSameGraph) {
           << "task " << id;
       ASSERT_EQ(g.layer_id, w.layer_id) << "task " << id;
       ASSERT_EQ(g.phase, w.phase) << "task " << id;
-      ASSERT_EQ(got.children(id), want.children(id)) << "task " << id;
-      ASSERT_EQ(got.parents(id), want.parents(id)) << "task " << id;
+      ASSERT_EQ(ToVector(got.children(id)), ToVector(want.children(id))) << "task " << id;
+      ASSERT_EQ(ToVector(got.parents(id)), ToVector(want.parents(id))) << "task " << id;
     }
   }
 }

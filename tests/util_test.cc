@@ -347,7 +347,8 @@ TEST(Json, NamesTheOffendingConstructOnParseErrors) {
       {"{\"a\": \"bad\\u12\"}", "invalid \\u escape"},
       {"{\"a\": 1e}", "invalid number '1e'"},
       {"{\"a\": 01}", "invalid number '01'"},
-      {"{\"a\": nope}", "invalid literal"},
+      {"{\"a\": nope}", "invalid literal 'no' (expected 'null')"},
+      {"{\"a\": tru}", "invalid literal 'tru}' (expected 'true')"},
       {"{\"a\": .5}", "expected a value"},
       {"{\"a\": 1234567890123456789012345678901234567890123456789012345678901234567890}",
        "number exceeds the size limit"},
