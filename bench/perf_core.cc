@@ -16,8 +16,8 @@
 //   - dispatch: the compiled-plan engine vs the reference frontier scan
 //     (>= 3x),
 //   - plan: the compiled-plan engine vs a frozen transcription of the
-//     pre-plan event engine — graph-object walks, virtual tie-break calls and
-//     map-keyed thread accounting in the hot loop (>= 2x),
+//     pre-plan event engine — graph-object walks, out-of-line tie-break
+//     calls and map-keyed thread accounting in the hot loop (>= 2x),
 //   - transform: WhatIfDistributed through the intrusive/indexed mutation
 //     layer vs a frozen transcription of the pre-change one (>= 5x).
 // Plus an end-to-end `sweep_cluster` cases/sec row demonstrating the
@@ -38,13 +38,13 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/event_engine.h"
 #include "src/core/graph_builder.h"
 #include "src/core/layer_map.h"
 #include "src/core/optimizations/amp.h"
 #include "src/core/optimizations/distributed.h"
 #include "src/core/optimizations/pipeline_transform.h"
 #include "src/core/predictor.h"
+#include "src/core/reference_engine.h"
 #include "src/core/sim_plan.h"
 #include "src/core/simulator.h"
 #include "src/core/transform.h"
@@ -192,22 +192,26 @@ void PreChangeWhatIfDistributed(DependencyGraph* graph, const std::vector<Gradie
 }
 
 // The event engine as it shipped before compiled plans: per-dispatch
-// graph-object loads (~200-byte Task nodes), virtual TieBreakLess calls
-// inside every heap comparison, and map-keyed thread_busy accounting. Kept
-// verbatim (modulo the SimResult lane-vector conversion at the end) as the
-// measurable baseline the >= 2x plan floor divides by.
+// graph-object loads (~200-byte Task nodes), an out-of-line scheduler call
+// inside every heap comparison (a virtual tie-break then, TieKey through
+// PreChangeTieOrder now), and map-keyed thread_busy accounting. Kept verbatim
+// (modulo the SimResult lane-vector conversion at the end) as the measurable
+// baseline the >= 2x plan floor divides by.
+[[gnu::noinline]] int PreChangeTieOrder(const Scheduler& scheduler, const Task& a,
+                                         const Task& b) {
+  const uint32_t ka = scheduler.TieKey(a);
+  const uint32_t kb = scheduler.TieKey(b);
+  return ka < kb ? -1 : (kb < ka ? 1 : 0);
+}
+
 struct PreChangeTieCmp {
   const DependencyGraph* graph = nullptr;
   const Scheduler* scheduler = nullptr;
 
   bool Less(TaskId a, TaskId b) const {
-    const Task& ta = graph->task(a);
-    const Task& tb = graph->task(b);
-    if (scheduler->TieBreakLess(ta, tb)) {
-      return true;
-    }
-    if (scheduler->TieBreakLess(tb, ta)) {
-      return false;
+    const int order = PreChangeTieOrder(*scheduler, graph->task(a), graph->task(b));
+    if (order != 0) {
+      return order < 0;
     }
     return a < b;
   }
@@ -410,7 +414,7 @@ int Main(int argc, char** argv) {
   rows.push_back({"build_graph", MeasureMs([&] { BuildDependencyGraph(trace); })});
   rows.push_back({"layer_map", MeasureMs([&] { LayerMap::Compute(trace); })});
   rows.push_back({"simulate_event", MeasureMs([&] { Simulator().Run(graph); })});
-  rows.push_back({"simulate_reference", MeasureMs([&] { Simulator().RunReference(graph); })});
+  rows.push_back({"simulate_reference", MeasureMs([&] { RunReference(graph); })});
 
   // Importer throughput: the profile-once side of the workflow must keep up
   // with real profiler dumps. Both importers parse the baseline profile from
@@ -526,8 +530,8 @@ int Main(int argc, char** argv) {
   const SimPlan dispatch_plan = simulator.Compile(dispatch_graph);
   const SimResult plan_result = dispatch_plan.Run();
   const SimResult prechange_result =
-      PreChangeRunEventEngine(dispatch_graph, *simulator.scheduler());
-  const SimResult reference_result = simulator.RunReference(dispatch_graph);
+      PreChangeRunEventEngine(dispatch_graph, simulator.scheduler());
+  const SimResult reference_result = RunReference(dispatch_graph);
   DD_CHECK_EQ(plan_result.makespan, reference_result.makespan)
       << "plan engine disagrees with the reference scan on the cluster graph";
   DD_CHECK_EQ(plan_result.dispatched, reference_result.dispatched);
@@ -538,9 +542,8 @@ int Main(int argc, char** argv) {
   const double compile_ms = MeasureMs([&] { simulator.Compile(dispatch_graph); });
   const double plan_ms = MeasureMs([&] { dispatch_plan.Run(); });
   const double prechange_event_ms = MeasureMs(
-      [&] { PreChangeRunEventEngine(dispatch_graph, *simulator.scheduler()); }, 3, 25, 1500.0);
-  const double reference_ms =
-      MeasureMs([&] { simulator.RunReference(dispatch_graph); }, 3, 25, 1500.0);
+      [&] { PreChangeRunEventEngine(dispatch_graph, simulator.scheduler()); }, 3, 25, 1500.0);
+  const double reference_ms = MeasureMs([&] { RunReference(dispatch_graph); }, 3, 25, 1500.0);
   const double plan_tps = static_cast<double>(cluster_tasks) / (plan_ms / 1e3);
   const double reference_tps = static_cast<double>(cluster_tasks) / (reference_ms / 1e3);
   const double dispatch_speedup = reference_ms / plan_ms;
@@ -607,7 +610,7 @@ int Main(int argc, char** argv) {
   WhatIfPipeline(&pipe_worker, BuildModel(kModel), pipe_opts);
   const DependencyGraph pipe_cluster = ReplicateWorkers(pipe_worker, 16);
   const SimPlan pipe_plan = simulator.Compile(pipe_cluster);
-  DD_CHECK_EQ(pipe_plan.Run().makespan, simulator.RunReference(pipe_cluster).makespan)
+  DD_CHECK_EQ(pipe_plan.Run().makespan, RunReference(pipe_cluster).makespan)
       << "plan engine disagrees with the reference scan on the pipeline cluster graph";
   const double pipeline_ms = MeasureMs([&] {
     simulator.Compile(pipe_cluster);

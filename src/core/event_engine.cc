@@ -1,4 +1,11 @@
-#include "src/core/event_engine.h"
+// The event-driven engine: Algorithm 1 over a compiled plan (SimPlan::Run)
+// and its sharded parallel form (ShardPlan::Run). Per lane, ready tasks sit
+// in a `now` heap (feasible at the lane's progress, ordered by packed key)
+// or a `future` heap (gated by a parent, ordered by (bound, key)); one global
+// index holds each lane's head keyed by (feasible time, key), and its minimum
+// is the next dispatch — the task the reference frontier scan would pick, at
+// O(log F) instead of O(F). See docs/engine.md, "Ready-structure layout".
+#include "src/core/sim_plan.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -53,7 +60,8 @@ struct GlobalHeapCmp {
 
 }  // namespace
 
-SimResult RunEventEngine(const SimPlan& plan) {
+SimResult SimPlan::Run() const {
+  const SimPlan& plan = *this;
   SimResult result;
   if (plan.empty()) {
     return result;
@@ -200,10 +208,6 @@ SimResult RunEventEngine(const SimPlan& plan) {
   return result;
 }
 
-SimResult RunEventEngine(const DependencyGraph& graph, const Scheduler& scheduler) {
-  return SimPlan::Compile(graph, scheduler).Run();
-}
-
 // ---------------------------------------------------------------------------
 // Sharded dispatch: the serial engine's loop, run per shard between
 // conservative synchronization windows.
@@ -261,11 +265,11 @@ struct ShardEngineState {
 
 }  // namespace
 
-SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool, const Deadline* deadline,
-                           bool* deadline_hit) {
+SimResult ShardPlan::Run(ThreadPool* pool, const Deadline* deadline, bool* deadline_hit) const {
   if (deadline_hit != nullptr) {
     *deadline_hit = false;
   }
+  const ShardPlan& shards = *this;
   const SimPlan& plan = *shards.plan_;
   SimResult result;
   if (plan.empty()) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
+#include <utility>
 
 #include "src/core/simulator.h"
 #include "src/core/transform.h"
@@ -99,12 +99,8 @@ TimeNs PredictPsIterationTime(const Daydream& daydream, const ModelGraph& model,
 
   WhatIfP3(&graph, model, options);
 
-  std::shared_ptr<Scheduler> scheduler;
-  if (options.prioritize) {
-    scheduler = std::make_shared<PriorityCommScheduler>();
-  } else {
-    scheduler = std::make_shared<EarliestStartScheduler>();
-  }
+  const Scheduler scheduler = options.prioritize ? Scheduler(PriorityCommScheduler())
+                                                 : Scheduler(EarliestStartScheduler());
   const SimResult sim = Simulator(scheduler).Run(graph);
   // Steady-state period: distance between the two end-of-iteration syncs.
   return sim.EndOf(boundaries[1]) - sim.EndOf(boundaries[0]);

@@ -42,59 +42,40 @@ size_t SimPlan::ResidentBytes() const {
   return bytes;
 }
 
-SimResult SimPlan::Run() const { return RunEventEngine(*this); }
+namespace {
+
+// One pass over the plan's tasks under a policy fixed at compile time.
+template <Scheduler::Policy P>
+void FillRows(const DependencyGraph& graph, const std::vector<TaskId>& task_ids, TimeNs* duration,
+              TimeNs* gap, uint64_t* order_key) {
+  for (size_t i = 0; i < task_ids.size(); ++i) {
+    const Task& task = graph.task(task_ids[i]);
+    duration[i] = task.duration;
+    gap[i] = task.gap;
+    order_key[i] = (static_cast<uint64_t>(Scheduler::TieKeyUnder<P>(task)) << 32) |
+                   static_cast<uint32_t>(i);
+  }
+}
+
+}  // namespace
 
 void SimPlan::FillTimingAndKeys(const DependencyGraph& graph, const Scheduler& scheduler) {
-  const Structure& s = *structure_;
-  const size_t n = s.task_ids.size();
-  duration_.resize(n);
-  gap_.resize(n);
-  order_key_.resize(n);
-
-  bool static_keys = true;
-  for (size_t i = 0; i < n; ++i) {
-    const Task& task = graph.task(s.task_ids[i]);
-    duration_[i] = task.duration;
-    gap_[i] = task.gap;
-    uint32_t key = 0;
-    if (!scheduler.StaticPlanKey(task, &key)) {
-      static_keys = false;
-      break;
-    }
-    order_key_[i] = (static_cast<uint64_t>(key) << 32) | static_cast<uint32_t>(i);
-  }
-  if (static_keys) {
-    return;
-  }
-
-  // Fallback for comparator-based schedulers without a static key: rank every
-  // task with one TieBreakLess sort. Plan indices ascend with task id, so
-  // refining the tie-break by plan index preserves the documented id order.
-  std::vector<int32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    const Task& ta = graph.task(s.task_ids[static_cast<size_t>(a)]);
-    const Task& tb = graph.task(s.task_ids[static_cast<size_t>(b)]);
-    if (scheduler.TieBreakLess(ta, tb)) {
-      return true;
-    }
-    if (scheduler.TieBreakLess(tb, ta)) {
-      return false;
-    }
-    return a < b;
-  });
-  for (size_t rank = 0; rank < n; ++rank) {
-    const size_t i = static_cast<size_t>(order[rank]);
-    const Task& task = graph.task(s.task_ids[i]);
-    duration_[i] = task.duration;
-    gap_[i] = task.gap;
-    order_key_[i] = (static_cast<uint64_t>(rank) << 32) | static_cast<uint32_t>(i);
+  const std::vector<TaskId>& task_ids = structure_->task_ids;
+  duration_.resize(task_ids.size());
+  gap_.resize(task_ids.size());
+  order_key_.resize(task_ids.size());
+  // Plan indices ascend with task id, so the packed plan index refines the
+  // tie key by id.
+  if (scheduler.policy() == Scheduler::Policy::kPriorityComm) {
+    FillRows<Scheduler::Policy::kPriorityComm>(graph, task_ids, duration_.data(), gap_.data(),
+                                               order_key_.data());
+  } else {
+    FillRows<Scheduler::Policy::kEarliestStart>(graph, task_ids, duration_.data(), gap_.data(),
+                                                order_key_.data());
   }
 }
 
 SimPlan SimPlan::Compile(const DependencyGraph& graph, const Scheduler& scheduler) {
-  DD_CHECK(scheduler.comparator_based()) << "plan compilation needs a comparator-based scheduler";
-
   auto s = std::make_shared<Structure>();
   s->capacity = graph.capacity();
   s->graph_stamp = graph.structure_stamp();
@@ -391,14 +372,9 @@ void ShardPlan::FillWindows() {
   }
 }
 
-SimResult ShardPlan::Run(ThreadPool* pool, const Deadline* deadline, bool* deadline_hit) const {
-  return RunShardedEngine(*this, pool, deadline, deadline_hit);
-}
-
 SimPlan SimPlan::Retime(const SimPlan& donor, const DependencyGraph& graph,
                         const Scheduler& scheduler) {
   DD_CHECK(!donor.empty()) << "retime needs a compiled donor plan";
-  DD_CHECK(scheduler.comparator_based()) << "plan compilation needs a comparator-based scheduler";
   DD_CHECK(donor.CompatibleWith(graph))
       << "retime requires a graph structurally unchanged since the donor was compiled "
       << "(stamp " << graph.structure_stamp() << " vs " << donor.structure_->graph_stamp << ")";

@@ -4,8 +4,8 @@
 // re-simulating a transformed graph (§7.1), so on cluster-scale graphs the
 // dispatch loop dominates end-to-end latency. Walking the graph's node
 // objects during dispatch is cache-hostile: each step loads a ~200-byte Task
-// (with a std::string name), chases per-node edge vectors, and virtual-calls
-// the scheduler's tie-break several times per heap operation.
+// (with a std::string name), chases per-node edge vectors, and re-derives the
+// scheduler's tie-break several times per heap operation.
 //
 // A SimPlan freezes one graph + one scheduler into the dense form the event
 // engine actually needs:
@@ -14,16 +14,16 @@
 //   - CSR successor lists and predecessor counts (plain int32 spans instead
 //     of per-node vectors),
 //   - the interned lane table plus dense per-lane task sequences,
-//   - pre-resolved scheduler keys: the comparator policy lowers to one
+//   - pre-resolved scheduler keys: Scheduler::TieKey lowers to one
 //     uint64 per task — packed (tie-break key << 32 | plan index) — so the
 //     hot loop orders tasks with single integer compares, zero virtual calls
 //     and zero graph indirection.
 //
 // The structure block (everything except durations/gaps/keys) is immutable
-// and shared: Compile() with a donor plan — or Simulator::Compile(graph,
-// &donor) — reuses it when the graph is structurally unchanged since the
-// donor was compiled, which is how a sweep retimes timing-only what-ifs
-// (AMP-style duration scaling) without re-walking a million edges.
+// and shared: Retime() over a donor plan reuses it when the graph is
+// structurally unchanged since the donor was compiled, which is how a sweep
+// retimes timing-only what-ifs (AMP-style duration scaling) without
+// re-walking a million edges.
 //
 // Invalidation: a plan captures the graph at compile time and never observes
 // later mutations. DependencyGraph::structure_stamp() is the cheap validity
@@ -51,10 +51,8 @@ class SimPlan {
  public:
   SimPlan() = default;
 
-  // Freezes `graph` for `scheduler` (must be comparator_based()). Tie-break
-  // keys come from Scheduler::StaticPlanKey when provided, otherwise from one
-  // rank-assigning sort over TieBreakLess — always possible because the order
-  // is state-independent.
+  // Freezes `graph` for `scheduler`: each task's Scheduler::TieKey is packed
+  // with its plan index into one integer order key.
   static SimPlan Compile(const DependencyGraph& graph, const Scheduler& scheduler);
 
   // Rebuilds only the timing and key arrays over `donor`'s shared structure
@@ -65,8 +63,9 @@ class SimPlan {
                         const Scheduler& scheduler);
 
   // Dispatches the plan (implemented by the event engine,
-  // src/core/event_engine.cc). Produces the same SimResult as
-  // Simulator::RunReference on the graph the plan was compiled from.
+  // src/core/event_engine.cc). Produces the same SimResult as the reference
+  // frontier scan (src/core/reference_engine.h) on the graph the plan was
+  // compiled from.
   SimResult Run() const;
 
   bool empty() const { return structure_ == nullptr; }
@@ -81,9 +80,6 @@ class SimPlan {
   size_t ResidentBytes() const;
 
  private:
-  friend SimResult RunEventEngine(const SimPlan& plan);
-  friend SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool,
-                                    const Deadline* deadline, bool* deadline_hit);
   // ShardPlan partitions the frozen arrays for parallel dispatch.
   friend class ShardPlan;
   // GraphLint's plan passes verify the frozen CSR/SoA arrays (and the
@@ -122,9 +118,6 @@ class SimPlan {
   void FillTimingAndKeys(const DependencyGraph& graph, const Scheduler& scheduler);
 };
 
-// Runs the event-driven engine over a compiled plan (same as plan.Run()).
-SimResult RunEventEngine(const SimPlan& plan);
-
 // A SimPlan partitioned for multi-core dispatch.
 //
 // Simulated start/end times depend only on each lane's local dispatch order,
@@ -143,9 +136,9 @@ SimResult RunEventEngine(const SimPlan& plan);
 //     publishes completions with plain array writes.
 //
 // Run() executes the windowed barrier loop in the event engine
-// (RunShardedEngine) and produces a SimResult byte-identical to plan.Run()
-// and Simulator::RunReference for every shard count — equality is exact, not
-// approximate (see docs/engine.md, "Parallel dispatch").
+// (src/core/event_engine.cc) and produces a SimResult byte-identical to
+// plan.Run() and the reference frontier scan for every shard count — equality
+// is exact, not approximate (see docs/engine.md, "Parallel dispatch").
 //
 // Shard membership and window positions are structural; window bounds are
 // timing. A ShardPlan captures both from one plan, so recompile it after
@@ -176,8 +169,6 @@ class ShardPlan {
   const SimPlan& plan() const { return *plan_; }
 
  private:
-  friend SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool,
-                                    const Deadline* deadline, bool* deadline_hit);
   // GraphLint::LintShards verifies the partition/window invariants; the
   // test-only ShardCorruptor (src/core/graph_testing.h) injects defects.
   friend class GraphLint;
@@ -213,11 +204,6 @@ class ShardPlan {
   // SimPlan::Structure::succ.
   std::vector<int32_t> edge_window_pos_;
 };
-
-// Runs the windowed barrier loop over a shard plan (same as shards.Run(pool,
-// deadline, deadline_hit)).
-SimResult RunShardedEngine(const ShardPlan& shards, ThreadPool* pool,
-                           const Deadline* deadline = nullptr, bool* deadline_hit = nullptr);
 
 // Dispatches `plan` across `sim_jobs` shards sharing `pool`; a null pool
 // spawns a private pool sized to the shard count for the duration of the

@@ -3,28 +3,21 @@
 // Traverses the graph, dispatching ready ("frontier") tasks onto their
 // execution threads, advancing per-thread progress by duration + gap, and
 // propagating completion times to children. The schedule() choice of which
-// frontier task to dispatch first is pluggable: the default picks the task
-// that can start earliest (the paper's default); optimizations like P3 and
-// vDNN install custom policies (§4.4 "Schedule", appendix Algorithms 7/10).
+// frontier task to dispatch first is a Scheduler: the default picks the task
+// that can start earliest (the paper's default); P3 breaks ties by
+// communication priority (§4.4 "Schedule", appendix Algorithm 7).
 //
-// Two engines implement the traversal:
-//   - the compiled-plan event engine (src/core/sim_plan.h +
-//     src/core/event_engine.h): the graph is first frozen into an immutable
-//     structure-of-arrays / CSR SimPlan with the scheduler's tie-break
-//     lowered to plain integer keys, then dispatched with an O(log F) indexed
-//     ready set — the hot loop does no virtual calls and no node-object
-//     indirection. Used whenever the scheduler expresses its policy as a
-//     feasible-time order with a state-independent tie-break
-//     (Scheduler::comparator_based()).
-//   - the reference engine (Simulator::RunReference): the literal Algorithm-1
-//     transcription with a linear frontier scan. It is the differential-
-//     testing oracle and the compatibility path for custom Pick()-style
-//     policies that need to see the whole frontier.
+// One engine implements the traversal: the graph is first frozen into an
+// immutable structure-of-arrays / CSR SimPlan (src/core/sim_plan.h) with the
+// scheduler's tie-break lowered to plain integer keys, then dispatched with
+// an O(log F) indexed ready set (src/core/event_engine.cc) — the hot loop
+// compares plain integers and never touches a node object. The literal
+// Algorithm-1 frontier scan is the tests' differential oracle and lives
+// outside the shipping library (src/core/reference_engine.h).
 #ifndef SRC_CORE_SIMULATOR_H_
 #define SRC_CORE_SIMULATOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/core/dependency_graph.h"
@@ -51,102 +44,86 @@ struct SimResult {
   TimeNs EndOf(TaskId id) const;
 };
 
-// Scheduling policy: given the frontier (ready tasks), pick which to dispatch.
+// Which ready task dispatches first — the §4.4 "Schedule" primitive. Both
+// policies dispatch the task with the earliest feasible start (max of its
+// lane's progress and its parents' completions); among tasks feasible at the
+// same instant, ascending (TieKey, task id) is the dispatch order. The key
+// depends only on the task, never on simulation state, so a compiled plan
+// carries it as a plain integer.
+//
+// A value type: the policy is the whole state. Construct one through the two
+// subclasses below, which only pick the policy.
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
-
-  struct Context {
-    const DependencyGraph* graph = nullptr;
-    // Current progress of each execution lane, indexed by the graph's
-    // interned lane table (graph->lane_of(id)).
-    const std::vector<TimeNs>* progress = nullptr;
-    // Current earliest-start bound per task (updated by finished parents).
-    const std::vector<TimeNs>* earliest = nullptr;
-
-    // Feasible dispatch time of a task: max(lane progress, earliest bound).
-    TimeNs FeasibleTime(TaskId id) const;
+  enum class Policy : uint8_t {
+    kEarliestStart,  // ties broken by task id alone (the paper's default)
+    kPriorityComm,   // P3: comm tasks by Task::priority descending, others as 0
   };
 
-  // Returns an index into `frontier`. Only called by the reference engine;
-  // comparator-based schedulers may delegate to their TieBreakLess order.
-  virtual size_t Pick(const std::vector<TaskId>& frontier, const Context& context) = 0;
+  Policy policy() const { return policy_; }
 
-  // ---- Event-engine contract ----
-  //
-  // A scheduler whose policy is "dispatch the task with the earliest feasible
-  // time, breaking ties with a fixed order" returns true here, and
-  // Simulator::Run compiles the graph into a SimPlan and dispatches it with
-  // the event-driven engine. Policies that need the whole frontier (custom
-  // Pick overrides) keep the default false and run on the reference engine.
-  virtual bool comparator_based() const { return false; }
+  uint32_t TieKey(const Task& task) const {
+    return policy_ == Policy::kPriorityComm ? TieKeyUnder<Policy::kPriorityComm>(task)
+                                            : TieKeyUnder<Policy::kEarliestStart>(task);
+  }
 
-  // Tie-break among tasks feasible at the same instant. Must be a strict weak
-  // ordering and must not depend on mutable simulation state (progress,
-  // frontier contents); the engine refines "equal" pairs by task id, so the
-  // order need not be total. Default: ascending task id.
-  virtual bool TieBreakLess(const Task& a, const Task& b) const;
+  // TieKey under a policy fixed at compile time, so a loop over every task
+  // (SimPlan's key fill) branches on the policy once, outside the loop.
+  template <Policy P>
+  static uint32_t TieKeyUnder([[maybe_unused]] const Task& task) {
+    if constexpr (P == Policy::kPriorityComm) {
+      // Bias the effective priority to unsigned (order-preserving), then flip
+      // it so that a higher priority gets a smaller key.
+      const int priority = task.is_comm() ? task.priority : 0;
+      return ~(static_cast<uint32_t>(priority) ^ 0x80000000u);
+    } else {
+      return 0;
+    }
+  }
 
-  // Plan-compilation contract: lowers the tie-break to a per-task integer so
-  // the compiled engine compares plain keys instead of virtual-dispatching
-  // into TieBreakLess. Returns true and sets *key such that ascending
-  // (key, task id) reproduces TieBreakLess refined by id. Schedulers that are
-  // comparator-based but keep the default false still compile — SimPlan falls
-  // back to ranking every task with one TieBreakLess sort at compile time.
-  virtual bool StaticPlanKey(const Task& task, uint32_t* key) const;
+ protected:
+  explicit Scheduler(Policy policy) : policy_(policy) {}
+
+ private:
+  Policy policy_;
 };
 
-// Default policy: dispatch the frontier task with the earliest feasible start;
-// ties broken by task id for determinism.
+// Default policy: earliest feasible start; ties broken by task id.
 class EarliestStartScheduler : public Scheduler {
  public:
-  size_t Pick(const std::vector<TaskId>& frontier, const Context& context) override;
-  bool comparator_based() const override { return true; }
-  bool StaticPlanKey(const Task& task, uint32_t* key) const override;
+  EarliestStartScheduler() : Scheduler(Policy::kEarliestStart) {}
 };
 
 // P3-style policy (appendix Algorithm 7): earliest feasible start, but among
-// communication tasks that tie, the higher Task::priority wins.
-//
-// Tie-break order (both engines): effective priority — Task::priority for
-// communication tasks, 0 for everything else — descending, then task id. The
-// "effective priority" formulation makes the order a strict weak ordering
-// (the historical frontier scan compared priorities only between two comm
-// tasks, which was not transitive when comm and non-comm tasks tied); on
-// graphs where communication tasks live on communication channels (every
-// producer in this repo) it picks the same schedule.
+// tasks that tie, the higher effective priority wins — Task::priority for
+// communication tasks, 0 for everything else — then the lower task id. The
+// effective-priority form is a strict weak ordering (the historical frontier
+// scan compared priorities only between two comm tasks, which was not
+// transitive when comm and non-comm tasks tied); on graphs where
+// communication tasks live on communication channels (every producer in this
+// repo) it picks the same schedule.
 class PriorityCommScheduler : public Scheduler {
  public:
-  size_t Pick(const std::vector<TaskId>& frontier, const Context& context) override;
-  bool comparator_based() const override { return true; }
-  bool TieBreakLess(const Task& a, const Task& b) const override;
-  bool StaticPlanKey(const Task& task, uint32_t* key) const override;
+  PriorityCommScheduler() : Scheduler(Policy::kPriorityComm) {}
 };
 
 class Simulator {
  public:
-  Simulator();
-  explicit Simulator(std::shared_ptr<Scheduler> scheduler);
+  Simulator() = default;
+  explicit Simulator(const Scheduler& scheduler) : scheduler_(scheduler) {}
 
-  // Simulates `graph`: compiled-plan event engine when the scheduler supports
-  // it, reference engine otherwise. Both produce identical SimResults for the
-  // built-in schedulers.
+  // Compiles `graph` into a SimPlan and dispatches it on the event engine.
   SimResult Run(const DependencyGraph& graph) const;
 
-  // Literal Algorithm-1 transcription (O(F) frontier scan per dispatch).
-  // Exposed as the differential-testing oracle.
-  SimResult RunReference(const DependencyGraph& graph) const;
-
-  // Freezes `graph` into an immutable plan for this simulator's scheduler
-  // (requires scheduler()->comparator_based()). Reusing a compiled plan's
-  // structure for a timing-only what-if is SimPlan::Retime, which the what-if
-  // pipeline (Daydream::Prepare) picks.
+  // Freezes `graph` into an immutable plan for this simulator's scheduler.
+  // Reusing a compiled plan's structure for a timing-only what-if is
+  // SimPlan::Retime, which the what-if pipeline (Daydream::Prepare) picks.
   SimPlan Compile(const DependencyGraph& graph) const;
 
-  const std::shared_ptr<Scheduler>& scheduler() const { return scheduler_; }
+  const Scheduler& scheduler() const { return scheduler_; }
 
  private:
-  std::shared_ptr<Scheduler> scheduler_;
+  Scheduler scheduler_ = EarliestStartScheduler();
 };
 
 }  // namespace daydream

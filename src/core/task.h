@@ -74,7 +74,8 @@ struct Task {
   Phase phase = Phase::kUnknown;
   int64_t bytes = 0;
 
-  // Free-form priority used by custom schedulers (P3's prioritization).
+  // Communication priority, read by PriorityCommScheduler (P3's
+  // prioritization); higher dispatches first among tied comm tasks.
   int priority = 0;
 
   bool is_gpu() const { return type == TaskType::kGpu; }

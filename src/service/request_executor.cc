@@ -543,7 +543,9 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
       response.line = ErrorResponse(id, "bad_request", error);
       return response;
     }
-    sweep.options.sim_jobs = std::clamp(sweep.options.sim_jobs, 1, sim_jobs_cap_);
+    // The same thread-budget clamp as predict's, over both of a sweep's
+    // thread counts: case workers and shards per case.
+    ClampSweepThreads(sim_jobs_cap_, &sweep.options);
     sweep.options.deadline = deadline;
     bool sweep_expired = false;
     std::vector<SweepOutcome> outcomes =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/runtime/ground_truth.h"
@@ -176,7 +177,7 @@ TEST(UnknownFlag, NamesTheFirstFlagAVerbDoesNotTake) {
 
 TEST(UnknownFlag, EngineIsRejectedByEveryWhatIfVerb) {
   // The simulation engine is no longer a request parameter: the
-  // differential oracle (Simulator::RunReference) lives in the tests.
+  // differential oracle (RunReference) lives in the tests.
   for (const char* command : {"predict", "lint", "sweep"}) {
     Args args;
     args.command = command;
@@ -508,6 +509,97 @@ TEST(ParseSweepRequest, SpellsDiagnosticsForTheCliAndForServe) {
   cluster.flags["cluster"] = "4xa";
   EXPECT_NE(error_for(cluster, TinyTrace(), FlagStyle::kServe).find("bad --cluster '4xa'"),
             std::string::npos);
+}
+
+// Every thread count has one maximum, checked before anything sizes a pool.
+// Parse-only: none of these tests starts a thread.
+TEST(ThreadCounts, SweepRefusesPastTheMaximumInBothWordings) {
+  const std::string too_many = std::to_string(kMaxJobs + 1);
+  const std::string at_most = " (expected at most " + std::to_string(kMaxJobs) + ")";
+  const auto error_for = [](const Args& args, FlagStyle style) {
+    SweepRequest request;
+    std::string error;
+    EXPECT_FALSE(ParseSweepRequest(args, TinyTrace(), 1, style, &request, &error));
+    return error;
+  };
+  Args jobs;
+  jobs.flags["jobs"] = too_many;
+  EXPECT_EQ(error_for(jobs, FlagStyle::kCli), "bad --jobs '" + too_many + "'" + at_most);
+  EXPECT_EQ(error_for(jobs, FlagStyle::kServe), "bad jobs '" + too_many + "'" + at_most);
+  Args sim_jobs;
+  sim_jobs.flags["sim-jobs"] = too_many;
+  EXPECT_EQ(error_for(sim_jobs, FlagStyle::kCli), "bad --sim-jobs '" + too_many + "'" + at_most);
+  EXPECT_EQ(error_for(sim_jobs, FlagStyle::kServe), "bad sim_jobs '" + too_many + "'" + at_most);
+
+  // The maximum itself is accepted.
+  Args at_max;
+  at_max.flags["jobs"] = std::to_string(kMaxJobs);
+  at_max.flags["sim-jobs"] = std::to_string(kMaxJobs);
+  SweepRequest request;
+  std::string error;
+  ASSERT_TRUE(ParseSweepRequest(at_max, TinyTrace(), 1, FlagStyle::kServe, &request, &error))
+      << error;
+  EXPECT_EQ(request.options.num_threads, kMaxJobs);
+  EXPECT_EQ(request.options.sim_jobs, kMaxJobs);
+}
+
+TEST(ThreadCounts, PredictSimJobsRefusesPastTheMaximum) {
+  Args args;
+  args.command = "predict";
+  args.flags["what-if"] = "amp";
+  args.flags["sim-jobs"] = std::to_string(kMaxJobs + 1);
+  WhatIfRequest request;
+  std::string error;
+  EXPECT_FALSE(ParseWhatIfRequest(args, &request, &error));
+  EXPECT_EQ(error, "bad --sim-jobs '" + std::to_string(kMaxJobs + 1) + "' (expected at most " +
+                       std::to_string(kMaxJobs) + ")");
+  args.flags["sim-jobs"] = std::to_string(kMaxJobs);
+  ASSERT_TRUE(ParseWhatIfRequest(args, &request, &error)) << error;
+  EXPECT_EQ(request.sim_jobs, kMaxJobs);
+}
+
+TEST(ThreadCounts, ServeJobsFlagsRefusePastTheMaximum) {
+  // `daydream serve --jobs N --sim-jobs M` parses both through ParseJobsFlag
+  // with a minimum of 1 and defaults 4 and 1.
+  for (const char* flag : {"jobs", "sim-jobs"}) {
+    Args args;
+    args.command = "serve";
+    std::string error;
+    EXPECT_EQ(ParseJobsFlag(args, flag, "4", 1, FlagStyle::kCli, &error), 4) << error;
+    args.flags[flag] = std::to_string(kMaxJobs + 1);
+    EXPECT_FALSE(ParseJobsFlag(args, flag, "4", 1, FlagStyle::kCli, &error).has_value());
+    EXPECT_EQ(error, std::string("bad --") + flag + " '" + std::to_string(kMaxJobs + 1) +
+                         "' (expected at most " + std::to_string(kMaxJobs) + ")");
+    args.flags[flag] = "0";
+    EXPECT_FALSE(ParseJobsFlag(args, flag, "4", 1, FlagStyle::kCli, &error).has_value());
+    EXPECT_EQ(error, std::string("bad --") + flag + " '0' (expected a positive integer)");
+  }
+}
+
+TEST(ThreadCounts, ServeClampsASweepToItsThreadBudget) {
+  // A serve sweep request, parsed in serve wording, then fitted to a
+  // per-request budget of 2 threads.
+  const auto clamped = [](const char* jobs, const char* sim_jobs) {
+    Args args;
+    args.command = "sweep";
+    if (jobs != nullptr) {
+      args.flags["jobs"] = jobs;
+    }
+    if (sim_jobs != nullptr) {
+      args.flags["sim-jobs"] = sim_jobs;
+    }
+    SweepRequest request;
+    std::string error;
+    EXPECT_TRUE(ParseSweepRequest(args, TinyTrace(), 1, FlagStyle::kServe, &request, &error))
+        << error;
+    ClampSweepThreads(/*budget=*/2, &request.options);
+    return std::make_pair(request.options.num_threads, request.options.sim_jobs);
+  };
+  EXPECT_EQ(clamped(nullptr, nullptr), std::make_pair(2, 1));  // jobs 0: the budget
+  EXPECT_EQ(clamped("1", nullptr), std::make_pair(1, 1));
+  EXPECT_EQ(clamped("2", "2"), std::make_pair(2, 2));
+  EXPECT_EQ(clamped(std::to_string(kMaxJobs).c_str(), std::to_string(kMaxJobs).c_str()),
+            std::make_pair(2, 2));
 }
 
 }  // namespace

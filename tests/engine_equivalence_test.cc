@@ -1,10 +1,10 @@
 // Differential test between the two simulator engines: the compiled-plan
-// event engine (Simulator::Run with a comparator-based scheduler, or an
-// explicit SimPlan) must reproduce the reference Algorithm-1 scan
-// (Simulator::RunReference) *exactly* — same makespan, same per-task
-// start/end, same per-lane accounting — on every model in the zoo under every
-// what-if transformation, on P3's priority-scheduled parameter-server graphs,
-// on replicated multi-worker cluster graphs, and on seeded random DAGs. The
+// event engine (Simulator::Run, or an explicit SimPlan) must reproduce the
+// reference Algorithm-1 scan (RunReference, src/core/reference_engine.h)
+// *exactly* — same makespan, same per-task start/end, same per-lane
+// accounting — on every model in the zoo under every what-if transformation,
+// on P3's priority-scheduled parameter-server graphs, on replicated
+// multi-worker cluster graphs, and on seeded random DAGs. The
 // plan Retime path (shared structure block, rebuilt timings/keys) gets the
 // same treatment.
 #include <gtest/gtest.h>
@@ -18,10 +18,10 @@
 #include <tuple>
 #include <vector>
 
-#include "src/core/event_engine.h"
 #include "src/core/graph_builder.h"
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
+#include "src/core/reference_engine.h"
 #include "src/core/sim_plan.h"
 #include "src/core/transform.h"
 #include "src/runtime/ground_truth.h"
@@ -103,8 +103,8 @@ TEST_P(EngineEquivalence, EventEngineReproducesReference) {
   DependencyGraph graph = BuildDependencyGraph(trace);
   what_if.apply(&graph, model_graph, trace);
 
-  const Simulator simulator;  // EarliestStart: comparator-based
-  ExpectSameResult(simulator.RunReference(graph), simulator.Run(graph));
+  const Simulator simulator;  // EarliestStart
+  ExpectSameResult(RunReference(graph, simulator.scheduler()), simulator.Run(graph));
 }
 
 std::string CaseName(const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
@@ -133,8 +133,8 @@ TEST(EngineEquivalencePriority, P3ParameterServerGraphs) {
     PsWhatIf options;
     WhatIfP3(&graph, BuildModel(model), options);
 
-    const Simulator priority(std::make_shared<PriorityCommScheduler>());
-    ExpectSameResult(priority.RunReference(graph), priority.Run(graph));
+    const Simulator priority{PriorityCommScheduler()};
+    ExpectSameResult(RunReference(graph, priority.scheduler()), priority.Run(graph));
   }
 }
 
@@ -147,8 +147,8 @@ TEST(EngineEquivalencePriority, DistributedGraphs) {
     opts.cluster.gpus_per_machine = 2;
     WhatIfDistributed(&graph, trace.gradients(), opts);
 
-    const Simulator priority(std::make_shared<PriorityCommScheduler>());
-    ExpectSameResult(priority.RunReference(graph), priority.Run(graph));
+    const Simulator priority{PriorityCommScheduler()};
+    ExpectSameResult(RunReference(graph, priority.scheduler()), priority.Run(graph));
   }
 }
 
@@ -199,13 +199,13 @@ class RandomGraphEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(RandomGraphEquivalence, EarliestStart) {
   const DependencyGraph g = RandomGraph(GetParam(), /*with_priorities=*/false);
   const Simulator simulator;
-  ExpectSameResult(simulator.RunReference(g), simulator.Run(g));
+  ExpectSameResult(RunReference(g, simulator.scheduler()), simulator.Run(g));
 }
 
 TEST_P(RandomGraphEquivalence, PriorityComm) {
   const DependencyGraph g = RandomGraph(GetParam() + 1000, /*with_priorities=*/true);
-  const Simulator simulator(std::make_shared<PriorityCommScheduler>());
-  ExpectSameResult(simulator.RunReference(g), simulator.Run(g));
+  const Simulator simulator{PriorityCommScheduler()};
+  ExpectSameResult(RunReference(g, simulator.scheduler()), simulator.Run(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphEquivalence, ::testing::Range(1, 13));
@@ -236,7 +236,7 @@ TEST_P(PipelineDifferential, EventEngineReproducesReference) {
   WhatIfPipeline(&graph, model, options);
 
   const Simulator simulator;
-  ExpectSameResult(simulator.RunReference(graph), simulator.Run(graph));
+  ExpectSameResult(RunReference(graph, simulator.scheduler()), simulator.Run(graph));
 }
 
 std::string PipelineCaseName(const ::testing::TestParamInfo<std::tuple<int, int, int>>& info) {
@@ -263,7 +263,7 @@ TEST(PipelineDifferentialModels, GnmtPipelines) {
       options.schedule = kind;
       WhatIfPipeline(&graph, model, options);
       const Simulator simulator;
-      ExpectSameResult(simulator.RunReference(graph), simulator.Run(graph));
+      ExpectSameResult(RunReference(graph, simulator.scheduler()), simulator.Run(graph));
     }
   }
 }
@@ -294,7 +294,7 @@ TEST(PipelineDifferentialRetime, RandomRetimesMatchReference) {
     }
     ASSERT_TRUE(donor.CompatibleWith(scaled));
     const SimPlan retimed = SimPlan::Retime(donor, scaled, EarliestStartScheduler());
-    ExpectSameResult(Simulator().RunReference(scaled), retimed.Run());
+    ExpectSameResult(RunReference(scaled), retimed.Run());
   }
 }
 
@@ -312,13 +312,13 @@ TEST(SimPlanDifferential, ClusterGraphsMatchReferenceUnderBothSchedulers) {
   WhatIfDistributed(&worker, trace.gradients(), opts);
   const DependencyGraph cluster = ReplicateWorkers(worker, 4);
 
-  for (const auto& scheduler : {std::shared_ptr<Scheduler>(new EarliestStartScheduler()),
-                                std::shared_ptr<Scheduler>(new PriorityCommScheduler())}) {
+  for (const auto& scheduler : {Scheduler(EarliestStartScheduler()),
+                                Scheduler(PriorityCommScheduler())}) {
     const Simulator simulator(scheduler);
     const SimPlan plan = simulator.Compile(cluster);
     EXPECT_EQ(plan.num_tasks(), cluster.num_alive());
     EXPECT_EQ(plan.num_lanes(), cluster.num_lanes());
-    ExpectSameResult(simulator.RunReference(cluster), plan.Run());
+    ExpectSameResult(RunReference(cluster, simulator.scheduler()), plan.Run());
   }
 }
 
@@ -340,12 +340,12 @@ TEST(SimPlanDifferential, RetimeMatchesFreshCompileAndReference) {
   ASSERT_EQ(transformed.structure_stamp(), daydream.graph().structure_stamp());
   ASSERT_TRUE(daydream.baseline_plan().CompatibleWith(transformed));
 
-  for (const auto& scheduler : {std::shared_ptr<Scheduler>(new EarliestStartScheduler()),
-                                std::shared_ptr<Scheduler>(new PriorityCommScheduler())}) {
+  for (const auto& scheduler : {Scheduler(EarliestStartScheduler()),
+                                Scheduler(PriorityCommScheduler())}) {
     const Simulator simulator(scheduler);
-    const SimPlan retimed = SimPlan::Retime(daydream.baseline_plan(), transformed, *scheduler);
-    const SimPlan fresh = SimPlan::Compile(transformed, *scheduler);
-    const SimResult reference = simulator.RunReference(transformed);
+    const SimPlan retimed = SimPlan::Retime(daydream.baseline_plan(), transformed, scheduler);
+    const SimPlan fresh = SimPlan::Compile(transformed, scheduler);
+    const SimResult reference = RunReference(transformed, simulator.scheduler());
     ExpectSameResult(reference, retimed.Run());
     ExpectSameResult(reference, fresh.Run());
   }
@@ -376,62 +376,7 @@ TEST(SimPlanDifferential, StructuralMutationInvalidatesCompatibility) {
         << report.ToString();
     EXPECT_EQ(prepared.retimed, retimed);
     EXPECT_EQ(prepared.tasks, graph->num_alive());
-    ExpectSameResult(Simulator().RunReference(*graph), prepared.plan.Run());
-  }
-}
-
-// A comparator-based scheduler without a StaticPlanKey: longest duration
-// first, ties by id. Exercises the compile-time rank-by-sort fallback.
-class LongestFirstScheduler : public Scheduler {
- public:
-  size_t Pick(const std::vector<TaskId>& frontier, const Context& context) override {
-    // The reference engine's scan over this scheduler's own tie-break order
-    // (earliest feasible first, then TieBreakLess, then id).
-    size_t best = 0;
-    for (size_t i = 1; i < frontier.size(); ++i) {
-      const TimeNs t = context.FeasibleTime(frontier[i]);
-      const TimeNs best_time = context.FeasibleTime(frontier[best]);
-      const Task& candidate = context.graph->task(frontier[i]);
-      const Task& current = context.graph->task(frontier[best]);
-      if (t < best_time ||
-          (t == best_time && (TieBreakLess(candidate, current) ||
-                              (!TieBreakLess(current, candidate) &&
-                               frontier[i] < frontier[best])))) {
-        best = i;
-      }
-    }
-    return best;
-  }
-  bool comparator_based() const override { return true; }
-  bool TieBreakLess(const Task& a, const Task& b) const override {
-    if (a.duration != b.duration) {
-      return a.duration > b.duration;
-    }
-    return a.id < b.id;
-  }
-};
-
-TEST(SimPlanDifferential, RankFallbackSchedulerMatchesStaticKeyOrder) {
-  // Oracle: a PriorityComm clone that withholds its static key must produce
-  // the identical plan order via the rank fallback.
-  class RankedPriorityComm : public PriorityCommScheduler {
-   public:
-    bool StaticPlanKey(const Task&, uint32_t*) const override { return false; }
-  };
-  for (int seed = 1; seed <= 6; ++seed) {
-    const DependencyGraph g = RandomGraph(seed + 500, /*with_priorities=*/true);
-    const SimResult via_static =
-        SimPlan::Compile(g, PriorityCommScheduler()).Run();
-    const SimResult via_rank = SimPlan::Compile(g, RankedPriorityComm()).Run();
-    ExpectSameResult(via_static, via_rank);
-  }
-}
-
-TEST(SimPlanDifferential, RankFallbackCustomOrderOnRandomGraphs) {
-  for (int seed = 1; seed <= 6; ++seed) {
-    const DependencyGraph g = RandomGraph(seed + 700, /*with_priorities=*/false);
-    const Simulator simulator(std::make_shared<LongestFirstScheduler>());
-    ExpectSameResult(simulator.RunReference(g), simulator.Run(g));
+    ExpectSameResult(RunReference(*graph), prepared.plan.Run());
   }
 }
 
@@ -451,7 +396,7 @@ TEST(SimPlanDifferential, RandomGraphRetime) {
     ASSERT_TRUE(donor.CompatibleWith(scaled));
     const EarliestStartScheduler scheduler;
     const SimPlan retimed = SimPlan::Retime(donor, scaled, scheduler);
-    ExpectSameResult(Simulator().RunReference(scaled), retimed.Run());
+    ExpectSameResult(RunReference(scaled), retimed.Run());
   }
 }
 
@@ -476,7 +421,7 @@ TEST(TieBreakRegression, SameLaneTiesDispatchInIdOrder) {
   for (size_t i = 1; i < ids.size(); ++i) {
     EXPECT_LT(a.start[static_cast<size_t>(ids[i - 1])], a.start[static_cast<size_t>(ids[i])]);
   }
-  ExpectSameResult(simulator.RunReference(g), a);
+  ExpectSameResult(RunReference(g, simulator.scheduler()), a);
 }
 
 TEST(TieBreakRegression, PriorityBeatsIdOnCommChannel) {
@@ -494,10 +439,10 @@ TEST(TieBreakRegression, PriorityBeatsIdOnCommChannel) {
   high.priority = 7;
   const TaskId high_id = g.AddTask(std::move(high));
 
-  const Simulator priority(std::make_shared<PriorityCommScheduler>());
+  const Simulator priority{PriorityCommScheduler()};
   const SimResult r = priority.Run(g);
   EXPECT_LT(r.start[static_cast<size_t>(high_id)], r.start[static_cast<size_t>(low_id)]);
-  ExpectSameResult(priority.RunReference(g), r);
+  ExpectSameResult(RunReference(g, priority.scheduler()), r);
 }
 
 // A task that becomes ready while its lane is still busy joins the tie-break
@@ -538,7 +483,7 @@ TEST(TieBreakRegression, LateReadyTaskJoinsTiePool) {
   // Both become feasible at progress=50us; lower id dispatches first.
   EXPECT_EQ(r.start[static_cast<size_t>(first_id)], Us(50));
   EXPECT_EQ(r.start[static_cast<size_t>(second_id)], Us(60));
-  ExpectSameResult(simulator.RunReference(g), r);
+  ExpectSameResult(RunReference(g, simulator.scheduler()), r);
 }
 
 // ---- Sharded parallel dispatch ----
@@ -557,10 +502,10 @@ const std::vector<int>& ShardJobLevels() {
 
 // Runs the full differential at every job level: parallel vs reference and
 // parallel vs serial plan dispatch.
-void ExpectShardedMatches(const DependencyGraph& graph, std::shared_ptr<Scheduler> scheduler) {
-  const SimPlan plan = SimPlan::Compile(graph, *scheduler);
+void ExpectShardedMatches(const DependencyGraph& graph, const Scheduler& scheduler) {
+  const SimPlan plan = SimPlan::Compile(graph, scheduler);
   const SimResult serial = plan.Run();
-  ExpectSameResult(Simulator(std::move(scheduler)).RunReference(graph), serial);
+  ExpectSameResult(RunReference(graph, scheduler), serial);
   for (const int jobs : ShardJobLevels()) {
     const ShardPlan shards = ShardPlan::Compile(plan, jobs);
     EXPECT_LE(shards.num_shards(), std::max(1, jobs));
@@ -582,7 +527,7 @@ TEST_P(ShardDifferential, ParallelDispatchReproducesReference) {
   DependencyGraph graph = BuildDependencyGraph(trace);
   what_if.apply(&graph, model_graph, trace);
 
-  ExpectShardedMatches(graph, std::make_shared<EarliestStartScheduler>());
+  ExpectShardedMatches(graph, EarliestStartScheduler());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -595,12 +540,12 @@ class ShardRandomGraph : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardRandomGraph, EarliestStart) {
   ExpectShardedMatches(RandomGraph(GetParam() + 2000, /*with_priorities=*/false),
-                       std::make_shared<EarliestStartScheduler>());
+                       EarliestStartScheduler());
 }
 
 TEST_P(ShardRandomGraph, PriorityComm) {
   ExpectShardedMatches(RandomGraph(GetParam() + 3000, /*with_priorities=*/true),
-                       std::make_shared<PriorityCommScheduler>());
+                       PriorityCommScheduler());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardRandomGraph, ::testing::Range(1, 13));
@@ -627,7 +572,7 @@ TEST(ShardDifferentialCluster, ReplicatedDistributedWorkers) {
     ThreadPool pool(shards.num_shards() - 1);
     ExpectSameResult(serial, shards.Run(&pool));
   }
-  ExpectSameResult(Simulator().RunReference(cluster), serial);
+  ExpectSameResult(RunReference(cluster), serial);
 }
 
 TEST(ShardDifferentialRetime, RetimedPlansReshardExactly) {
@@ -645,7 +590,7 @@ TEST(ShardDifferentialRetime, RetimedPlansReshardExactly) {
     }
     ASSERT_TRUE(donor.CompatibleWith(scaled));
     const SimPlan retimed = SimPlan::Retime(donor, scaled, EarliestStartScheduler());
-    const SimResult oracle = Simulator().RunReference(scaled);
+    const SimResult oracle = RunReference(scaled);
     for (const int jobs : ShardJobLevels()) {
       ExpectSameResult(oracle, RunPlanParallel(retimed, jobs));
     }

@@ -13,6 +13,7 @@
 
 #include "src/core/optimizations/optimizations.h"
 #include "src/core/predictor.h"
+#include "src/core/reference_engine.h"
 #include "src/runtime/ground_truth.h"
 #include "src/service/session.h"
 #include "src/util/fault.h"
@@ -193,9 +194,9 @@ TEST_F(TraceSessionTest, PlansDroppedWithAnEvictedTransformCountAsEvictions) {
 TEST_F(TraceSessionTest, EveryWhatIfMatchesTheReferenceScan) {
   // The differential oracle: for every what-if the session resolves, the
   // answer — cold, then from the answer cache — is the Algorithm-1 scan
-  // (Simulator::RunReference) over a clone with the same transform applied.
+  // (RunReference) over a clone with the same transform applied.
   std::shared_ptr<TraceSession> session = NewSession();
-  const TimeNs baseline = Simulator().RunReference(session->daydream().graph()).makespan;
+  const TimeNs baseline = RunReference(session->daydream().graph()).makespan;
   for (const char* name :
        {"amp", "fused_adam", "rbn", "metaflow", "gist", "vdnn", "distributed", "pipeline"}) {
     WhatIfRequest request;
@@ -210,7 +211,7 @@ TEST_F(TraceSessionTest, EveryWhatIfMatchesTheReferenceScan) {
         << name << ": " << error;
     DependencyGraph graph = session->daydream().CloneGraph();
     transform(&graph);
-    const TimeNs expected = Simulator().RunReference(graph).makespan;
+    const TimeNs expected = RunReference(graph).makespan;
     for (const bool cached : {false, true}) {
       PredictOutcome outcome;
       ASSERT_EQ(session->Predict(request, &outcome, &error), SessionStatus::kOk)

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <vector>
 
+#include "src/core/reference_engine.h"
+#include "src/core/sim_plan.h"
 #include "src/core/simulator.h"
 
 namespace daydream {
@@ -166,7 +170,7 @@ TEST(Simulator, PrioritySchedulerPrefersHighPriorityComm) {
   EXPECT_LT(fifo.start[static_cast<size_t>(low)], fifo.start[static_cast<size_t>(high)]);
 
   const SimResult prio =
-      Simulator(std::make_shared<PriorityCommScheduler>()).Run(g);
+      Simulator(PriorityCommScheduler()).Run(g);
   EXPECT_LT(prio.start[static_cast<size_t>(high)], prio.start[static_cast<size_t>(low)]);
 }
 
@@ -178,38 +182,62 @@ TEST(Simulator, PrioritySchedulerStillHonorsReadiness) {
   const TaskId low = g.AddTask(Make(TaskType::kComm, ExecThread::Comm(0), Us(100), 0, 1));
   const TaskId high = g.AddTask(Make(TaskType::kComm, ExecThread::Comm(0), Us(100), 0, 9));
   g.AddEdge(gate, high);  // high priority ready only at t=50
-  const SimResult r = Simulator(std::make_shared<PriorityCommScheduler>()).Run(g);
+  const SimResult r = Simulator(PriorityCommScheduler()).Run(g);
   EXPECT_EQ(r.start[static_cast<size_t>(low)], 0);
   EXPECT_EQ(r.start[static_cast<size_t>(high)], Us(100));
 }
 
-TEST(Simulator, CustomSchedulerInvoked) {
-  class CountingScheduler : public Scheduler {
-   public:
-    size_t Pick(const std::vector<TaskId>& frontier, const Context& context) override {
-      ++picks;
-      return EarliestStartScheduler().Pick(frontier, context);
-    }
-    int picks = 0;
-  };
-  auto scheduler = std::make_shared<CountingScheduler>();
+TEST(Simulator, PriorityKeysOrderExtremePrioritiesOnOneLane) {
+  // Comm tasks at the ends of the int range and around 0, plus non-comm tasks
+  // whose priority the policy ignores, all ready at t=0 on one lane. Ids are
+  // deliberately out of priority order.
   DependencyGraph g;
-  g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(1)));
-  g.AddTask(Make(TaskType::kCpu, ExecThread::Cpu(0), Us(1)));
-  Simulator(scheduler).Run(g);
-  EXPECT_EQ(scheduler->picks, 2);
-}
+  const ExecThread lane = ExecThread::Comm(0);
+  const TaskId minus_one = g.AddTask(Make(TaskType::kComm, lane, Us(10), 0, -1));
+  const TaskId gpu = g.AddTask(Make(TaskType::kGpu, lane, Us(10), 0, 7));
+  const TaskId int_min = g.AddTask(Make(TaskType::kComm, lane, Us(10), 0, INT_MIN));
+  const TaskId int_max = g.AddTask(Make(TaskType::kComm, lane, Us(10), 0, INT_MAX));
+  const TaskId zero = g.AddTask(Make(TaskType::kComm, lane, Us(10), 0, 0));
+  const TaskId cpu = g.AddTask(Make(TaskType::kCpu, lane, Us(10), 0, -3));
+  const TaskId one = g.AddTask(Make(TaskType::kComm, lane, Us(10), 0, 1));
 
-TEST(Simulator, BuiltInSchedulersAreComparatorBased) {
-  // Both built-ins run on the event-driven engine; a custom Pick-only policy
-  // (like CountingScheduler above) keeps the reference path.
-  EXPECT_TRUE(EarliestStartScheduler().comparator_based());
-  EXPECT_TRUE(PriorityCommScheduler().comparator_based());
-  class PickOnly : public EarliestStartScheduler {
-   public:
-    bool comparator_based() const override { return false; }
+  auto dispatch_order = [](const SimResult& r) {
+    std::vector<TaskId> order(r.start.size());
+    for (size_t id = 0; id < r.start.size(); ++id) {
+      order[static_cast<size_t>(r.start[id] / Us(10))] = static_cast<TaskId>(id);
+    }
+    return order;
   };
-  EXPECT_FALSE(PickOnly().comparator_based());
+
+  // Priority descending; non-comm tasks count as 0 and tie with the comm task
+  // at 0 by id.
+  const PriorityCommScheduler priority;
+  const auto key = [&](TaskId id) { return priority.TieKey(g.task(id)); };
+  EXPECT_EQ(key(int_max), 0u);
+  EXPECT_LT(key(int_max), key(one));
+  EXPECT_LT(key(one), key(zero));
+  EXPECT_EQ(key(zero), key(gpu));
+  EXPECT_EQ(key(zero), key(cpu));
+  EXPECT_LT(key(zero), key(minus_one));
+  EXPECT_LT(key(minus_one), key(int_min));
+  EXPECT_EQ(key(int_min), 0xffffffffu);
+  EXPECT_EQ(EarliestStartScheduler().TieKey(g.task(int_max)),
+            EarliestStartScheduler().TieKey(g.task(int_min)));
+  const SimResult prio = SimPlan::Compile(g, priority).Run();
+  EXPECT_EQ(dispatch_order(prio),
+            (std::vector<TaskId>{int_max, one, gpu, zero, cpu, minus_one, int_min}));
+  const SimResult prio_reference = RunReference(g, priority);
+  EXPECT_EQ(prio.start, prio_reference.start);
+  EXPECT_EQ(prio.end, prio_reference.end);
+  EXPECT_EQ(prio.lane_busy, prio_reference.lane_busy);
+  EXPECT_EQ(prio.lane_end, prio_reference.lane_end);
+  EXPECT_EQ(prio.makespan, prio_reference.makespan);
+
+  // The default policy ignores priority: id order.
+  const SimResult fifo = SimPlan::Compile(g, EarliestStartScheduler()).Run();
+  EXPECT_EQ(dispatch_order(fifo),
+            (std::vector<TaskId>{minus_one, gpu, int_min, int_max, zero, cpu, one}));
+  EXPECT_EQ(fifo.start, RunReference(g).start);
 }
 
 TEST(Simulator, ReferenceEngineAgreesOnDiamond) {
@@ -224,7 +252,7 @@ TEST(Simulator, ReferenceEngineAgreesOnDiamond) {
   g.AddEdge(c, d);
   const Simulator simulator;
   const SimResult run = simulator.Run(g);
-  const SimResult reference = simulator.RunReference(g);
+  const SimResult reference = RunReference(g, simulator.scheduler());
   EXPECT_EQ(run.start, reference.start);
   EXPECT_EQ(run.end, reference.end);
   EXPECT_EQ(run.makespan, reference.makespan);

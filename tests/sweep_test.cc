@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "src/core/optimizations/optimizations.h"
+#include "src/core/reference_engine.h"
 #include "src/runtime/ground_truth.h"
 #include "src/runtime/sweep.h"
 
@@ -90,9 +91,8 @@ TEST(SweepRunner, ShardedDispatchMatchesSerialOutcomes) {
 
 TEST(SweepRunner, ReferenceEngineMatchesCompiledPlans) {
   // The differential oracle: every standard and pipeline case, swept through
-  // the pipelined plan path, equals the Algorithm-1 scan
-  // (Simulator::RunReference) over a clone with the same transform — in
-  // makespan and in task count.
+  // the pipelined plan path, equals the Algorithm-1 scan (RunReference) over
+  // a clone with the same transform — in makespan and in task count.
   const Daydream daydream(ResNetTrace());
   std::vector<SweepCase> cases = BuildStandardSweep(ResNetTrace(), Clusters());
   PipelineSweepSpec pipeline;
@@ -106,7 +106,7 @@ TEST(SweepRunner, ReferenceEngineMatchesCompiledPlans) {
   for (size_t i = 0; i < cases.size(); ++i) {
     DependencyGraph graph = daydream.CloneGraph();
     cases[i].transform(&graph);
-    EXPECT_EQ(via_plan[i].prediction.predicted, Simulator().RunReference(graph).makespan)
+    EXPECT_EQ(via_plan[i].prediction.predicted, RunReference(graph).makespan)
         << cases[i].name;
     EXPECT_EQ(via_plan[i].tasks, graph.num_alive()) << cases[i].name;
   }

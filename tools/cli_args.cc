@@ -222,9 +222,9 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
 bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error) {
   request->what_if = args.Get("what-if");
   request->validate = args.Has("validate");
-  const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
-  if (!sim_jobs.has_value() || *sim_jobs < 1) {
-    *error = "bad --sim-jobs '" + args.Get("sim-jobs") + "' (expected a positive integer)";
+  const std::optional<int> sim_jobs =
+      ParseJobsFlag(args, "sim-jobs", "1", /*minimum=*/1, FlagStyle::kCli, error);
+  if (!sim_jobs.has_value()) {
     return false;
   }
   request->sim_jobs = *sim_jobs;
@@ -302,16 +302,32 @@ std::string UnknownFlagError(const Args& args, FlagStyle style) {
   return "";
 }
 
+std::optional<int> ParseJobsFlag(const Args& args, const std::string& name,
+                                 const std::string& fallback, int minimum, FlagStyle style,
+                                 std::string* error) {
+  const std::string text = args.Get(name, fallback);
+  const std::optional<int> jobs = ParseInt(text);
+  if (!jobs.has_value() || *jobs < minimum) {
+    *error = StrFormat("bad %s '%s' (expected a %s integer)", SpellFlag(name, style).c_str(),
+                       text.c_str(), minimum == 0 ? "non-negative" : "positive");
+    return std::nullopt;
+  }
+  if (*jobs > kMaxJobs) {
+    *error = StrFormat("bad %s '%s' (expected at most %d)", SpellFlag(name, style).c_str(),
+                       text.c_str(), kMaxJobs);
+    return std::nullopt;
+  }
+  return jobs;
+}
+
 bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_jobs,
                        FlagStyle style, SweepRequest* request, std::string* error) {
   const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, error);
   if (!clusters.has_value()) {
     return false;
   }
-  const std::optional<int> jobs = ParseInt(args.Get("jobs", "0"));
-  if (!jobs.has_value() || *jobs < 0) {
-    *error = StrFormat("bad %s '%s' (expected a non-negative integer)",
-                       SpellFlag("jobs", style).c_str(), args.Get("jobs").c_str());
+  const std::optional<int> jobs = ParseJobsFlag(args, "jobs", "0", /*minimum=*/0, style, error);
+  if (!jobs.has_value()) {
     return false;
   }
   const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error);
@@ -331,17 +347,22 @@ bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_job
       return false;
     }
   }
-  const std::optional<int> sim_jobs =
-      ParseInt(args.Get("sim-jobs", std::to_string(default_sim_jobs)));
-  if (!sim_jobs.has_value() || *sim_jobs < 1) {
-    *error = StrFormat("bad %s '%s' (expected a positive integer)",
-                       SpellFlag("sim-jobs", style).c_str(), args.Get("sim-jobs").c_str());
+  const std::optional<int> sim_jobs = ParseJobsFlag(
+      args, "sim-jobs", std::to_string(default_sim_jobs), /*minimum=*/1, style, error);
+  if (!sim_jobs.has_value()) {
     return false;
   }
   request->options.num_threads = *jobs;
   request->options.sim_jobs = *sim_jobs;
   request->options.validate = args.Has("validate");
   return true;
+}
+
+void ClampSweepThreads(int budget, SweepOptions* options) {
+  if (options->num_threads <= 0 || options->num_threads > budget) {
+    options->num_threads = budget;
+  }
+  options->sim_jobs = std::clamp(options->sim_jobs, 1, budget);
 }
 
 }  // namespace daydream

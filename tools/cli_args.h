@@ -63,6 +63,10 @@ constexpr int kMaxClusterMachines = 1024;    // --cluster M
 constexpr int kMaxGpusPerMachine = 64;       // --cluster G
 constexpr int kMaxPipelineStages = 1024;     // --pipeline-stages
 constexpr int kMaxMicrobatches = 1024;       // --microbatches
+// Thread counts: sweep --jobs, --sim-jobs on predict/sweep/serve, and serve
+// --jobs. Each sizes a thread pool, so a past-the-maximum value is refused
+// before any thread starts.
+constexpr int kMaxJobs = 256;
 
 // Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error and
 // returns nullopt on malformed input, including a shape past
@@ -106,6 +110,13 @@ bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* e
 enum class FlagStyle { kCli, kServe };
 std::string SpellFlag(const std::string& name, FlagStyle style);
 
+// Parses the thread-count flag `name` (`fallback` when absent): an integer in
+// [minimum, kMaxJobs], minimum 0 or 1. Fills *error, flag spelt per `style`,
+// and returns nullopt on anything else.
+std::optional<int> ParseJobsFlag(const Args& args, const std::string& name,
+                                 const std::string& fallback, int minimum, FlagStyle style,
+                                 std::string* error);
+
 // predict, sweep and lint each take a fixed set of flags (serve lowers a
 // request's fields onto the same names). Returns the diagnostic naming the
 // first flag `args.command` does not take, e.g. "unknown flag '--clutser'
@@ -126,6 +137,12 @@ struct SweepRequest {
 };
 bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_jobs,
                        FlagStyle style, SweepRequest* request, std::string* error);
+
+// Fits a parsed sweep into serve's per-request thread budget (>= 1): `jobs`
+// 0 (one case worker per hardware thread) or past `budget` becomes `budget`,
+// and sim_jobs is clamped to [1, budget]. Consumption-only, like the predict
+// verb's sim_jobs clamp: a sweep's answers do not depend on its thread count.
+void ClampSweepThreads(int budget, SweepOptions* options);
 
 }  // namespace daydream
 

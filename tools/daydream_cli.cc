@@ -422,16 +422,18 @@ int CmdSweep(const Args& args) {
 
 int CmdServe(const Args& args) {
   ServeOptions options;
-  const std::optional<int> jobs = ParseInt(args.Get("jobs", "4"));
-  if (!jobs.has_value() || *jobs < 1) {
-    std::cerr << "bad --jobs '" << args.Get("jobs") << "' (expected a positive integer)\n";
+  std::string error;
+  const std::optional<int> jobs =
+      ParseJobsFlag(args, "jobs", "4", /*minimum=*/1, FlagStyle::kCli, &error);
+  if (!jobs.has_value()) {
+    std::cerr << error << "\n";
     return 2;
   }
   options.workers = *jobs;
-  const std::optional<int> sim_jobs = ParseInt(args.Get("sim-jobs", "1"));
-  if (!sim_jobs.has_value() || *sim_jobs < 1) {
-    std::cerr << "bad --sim-jobs '" << args.Get("sim-jobs")
-              << "' (expected a positive integer)\n";
+  const std::optional<int> sim_jobs =
+      ParseJobsFlag(args, "sim-jobs", "1", /*minimum=*/1, FlagStyle::kCli, &error);
+  if (!sim_jobs.has_value()) {
+    std::cerr << error << "\n";
     return 2;
   }
   options.sim_jobs = *sim_jobs;
