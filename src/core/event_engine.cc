@@ -1,16 +1,15 @@
-// The event-driven engine: Algorithm 1 over a compiled plan (SimPlan::Run)
-// and its sharded parallel form (ShardPlan::Run). Per lane, ready tasks sit
-// in a `now` heap (feasible at the lane's progress, ordered by packed key)
-// or a `future` heap (gated by a parent, ordered by (bound, key)); one global
-// index holds each lane's head keyed by (feasible time, key), and its minimum
-// is the next dispatch — the task the reference frontier scan would pick, at
-// O(log F) instead of O(F). See docs/engine.md, "Ready-structure layout".
+// The event-driven engine: Algorithm 1 over a compiled plan. One lane engine
+// (LaneSet) holds the ready structure and the dispatch step; the serial
+// SimPlan::Run drives one lane set over every lane, and ShardPlan::Run drives
+// one per shard between conservative synchronization windows. See
+// docs/engine.md, "Ready-structure layout" and "Parallel dispatch".
 #include "src/core/sim_plan.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -23,8 +22,8 @@ namespace {
 // Plan index of a packed order key (upper 32 bits are the scheduler key).
 inline size_t IndexOf(uint64_t packed) { return static_cast<size_t>(packed & 0xffffffffu); }
 
-// Sentinel for "lane has no ready task".
-constexpr uint64_t kNoHead = ~uint64_t{0};
+// Sentinel lane for LaneSet::Release callers outside a dispatch.
+constexpr uint32_t kNoLane = ~uint32_t{0};
 
 // All ready structures are binary min-heaps over plain vectors (std::*_heap
 // needs a "greater" comparator for a min-heap): no per-node allocation, and
@@ -32,25 +31,26 @@ constexpr uint64_t kNoHead = ~uint64_t{0};
 
 struct LaneState {
   TimeNs progress = 0;
+  TimeNs busy = 0;  // sum of dispatched durations
   bool dispatched_any = false;
   std::vector<uint64_t> now;  // packed keys; heap over std::greater
   // (bound, packed key): pair's lexicographic order is exactly (bound, key).
   std::vector<std::pair<TimeNs, uint64_t>> future;
-  // Generation stamp for lazy invalidation of global-index entries: bumped on
-  // every head change, so stale entries are skipped when popped.
+  // Generation stamp for lazy invalidation of head-index entries: bumped on
+  // every head change, so stale entries are skipped when they surface.
   uint32_t stamp = 0;
 };
 
-// One global-index entry: a lane's head task at the time it was pushed.
-struct GlobalEntry {
+// One head-index entry: a lane's head task at the time it was pushed.
+struct HeadEntry {
   TimeNs feasible = 0;
   uint64_t packed = 0;
   uint32_t lane = 0;
   uint32_t stamp = 0;
 };
 
-struct GlobalHeapCmp {
-  bool operator()(const GlobalEntry& a, const GlobalEntry& b) const {
+struct HeadCmp {
+  bool operator()(const HeadEntry& a, const HeadEntry& b) const {
     if (a.feasible != b.feasible) {
       return b.feasible < a.feasible;
     }
@@ -58,117 +58,156 @@ struct GlobalHeapCmp {
   }
 };
 
-}  // namespace
+// What one run shares across its lane sets: the plan's frozen columns, the
+// result's start/end (by task id) and the release bookkeeping (by plan
+// index). Every task has one owner lane set, the only writer of its entries.
+struct RunArrays {
+  const TaskId* task_ids;
+  const int32_t* lane;
+  const int32_t* succ_offset;
+  const int32_t* succ;
+  const TimeNs* duration;
+  const TimeNs* gap;
+  const uint64_t* order_key;
+  TimeNs* start;
+  TimeNs* end;
+  std::vector<TimeNs> earliest;
+  std::vector<int32_t> refs;  // unfinished parents
+};
 
-SimResult SimPlan::Run() const {
-  const SimPlan& plan = *this;
-  SimResult result;
-  if (plan.empty()) {
-    return result;
+// Sizes `result` for the plan and views both. `Structure` is SimPlan's
+// private block, deduced from the two entry points that may read it.
+template <typename Structure>
+RunArrays BeginRun(const Structure& s, const std::vector<TimeNs>& duration,
+                   const std::vector<TimeNs>& gap, const std::vector<uint64_t>& order_key,
+                   SimResult* result) {
+  result->start.assign(static_cast<size_t>(s.capacity), -1);
+  result->end.assign(static_cast<size_t>(s.capacity), -1);
+  result->lane_threads = s.lane_threads;
+  result->lane_busy.assign(s.lane_threads.size(), 0);
+  result->lane_end.assign(s.lane_threads.size(), -1);
+  return RunArrays{s.task_ids.data(), s.lane.data(), s.succ_offset.data(), s.succ.data(),
+                   duration.data(), gap.data(), order_key.data(),
+                   result->start.data(), result->end.data(),
+                   std::vector<TimeNs>(s.task_ids.size(), 0), s.pred_count};
+}
+
+// Algorithm 1's ready structure and dispatch step over a set of lanes. Per
+// lane, ready tasks sit in a `now` heap (feasible at the lane's progress,
+// ordered by packed key) or a `future` heap (gated by a parent, ordered by
+// (bound, key)); one head index holds each lane's head keyed by (feasible
+// time, key), and its minimum is the set's next dispatch — the task the
+// reference frontier scan would pick, at O(log F) instead of O(F). Lanes are
+// addressed by local index; `lane_ids` maps them to plan lanes.
+class LaneSet {
+ public:
+  LaneSet(RunArrays* run, const int32_t* lane_offset, std::vector<uint32_t> lane_ids)
+      : run_(run), lane_ids_(std::move(lane_ids)), lanes_(lane_ids_.size()) {
+    // Per-lane heap capacity: a lane's ready set never exceeds its task count.
+    for (size_t li = 0; li < lanes_.size(); ++li) {
+      const uint32_t lane = lane_ids_[li];
+      const size_t lane_tasks = static_cast<size_t>(lane_offset[lane + 1] - lane_offset[lane]);
+      lanes_[li].now.reserve(std::min<size_t>(lane_tasks, 64));
+      lanes_[li].future.reserve(std::min<size_t>(lane_tasks, 64));
+    }
+    heads_.reserve(lanes_.size() + 16);
   }
-  const SimPlan::Structure& s = *plan.structure_;
-  const std::vector<TimeNs>& duration = plan.duration_;
-  const std::vector<TimeNs>& gap = plan.gap_;
-  const std::vector<uint64_t>& order_key = plan.order_key_;
-  const size_t n = s.task_ids.size();
 
-  result.start.assign(static_cast<size_t>(s.capacity), -1);
-  result.end.assign(static_cast<size_t>(s.capacity), -1);
-  result.lane_threads = s.lane_threads;
-  result.lane_busy.assign(s.lane_threads.size(), 0);
-  result.lane_end.assign(s.lane_threads.size(), -1);
+  int dispatched() const { return dispatched_; }
 
-  std::vector<TimeNs> earliest(n, 0);
-  std::vector<int32_t> refs = s.pred_count;
-
-  std::vector<LaneState> lanes(s.lane_threads.size());
-  // Per-lane heap capacity: a lane's ready set never exceeds its task count.
-  for (size_t lane = 0; lane < lanes.size(); ++lane) {
-    const size_t lane_tasks = static_cast<size_t>(s.lane_offset[lane + 1] - s.lane_offset[lane]);
-    lanes[lane].now.reserve(std::min<size_t>(lane_tasks, 64));
-    lanes[lane].future.reserve(std::min<size_t>(lane_tasks, 64));
-  }
-
-  auto insert_ready = [&](LaneState& lane, size_t idx, TimeNs bound) {
+  // Plan index `idx` becomes ready on local lane `local` at `bound`.
+  void InsertReady(uint32_t local, size_t idx, TimeNs bound) {
+    LaneState& lane = lanes_[local];
     if (bound <= lane.progress) {
-      lane.now.push_back(order_key[idx]);
+      lane.now.push_back(run_->order_key[idx]);
       std::push_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
     } else {
-      lane.future.emplace_back(bound, order_key[idx]);
+      lane.future.emplace_back(bound, run_->order_key[idx]);
       std::push_heap(lane.future.begin(), lane.future.end(),
                      std::greater<std::pair<TimeNs, uint64_t>>());
     }
-  };
-
-  // The initial ready set: all bounds are 0 <= progress 0, straight into now.
-  for (int32_t idx : s.initial_ready) {
-    LaneState& lane = lanes[static_cast<size_t>(s.lane[static_cast<size_t>(idx)])];
-    lane.now.push_back(order_key[static_cast<size_t>(idx)]);
-  }
-  for (LaneState& lane : lanes) {
-    std::make_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
   }
 
-  // Feasible time + packed key of a lane's next dispatch. Tasks in `now` are
-  // feasible at `progress`, which is <= every bound in `future`, so `now`'s
-  // head wins whenever it exists.
-  auto head = [](const LaneState& lane) -> std::pair<TimeNs, uint64_t> {
-    if (!lane.now.empty()) {
-      return {lane.progress, lane.now.front()};
-    }
-    if (!lane.future.empty()) {
-      return lane.future.front();
-    }
-    return {0, kNoHead};
-  };
-
-  std::vector<GlobalEntry> global;
-  global.reserve(lanes.size() + 16);
-  const GlobalHeapCmp global_cmp;
   // Pushes the lane's current head (if any) and invalidates older entries.
-  auto refresh = [&](uint32_t li) {
-    LaneState& lane = lanes[li];
+  // Tasks in `now` are feasible at `progress`, which is <= every bound in
+  // `future`, so `now`'s head wins whenever it exists.
+  void Refresh(uint32_t local) {
+    LaneState& lane = lanes_[local];
     ++lane.stamp;
-    const auto [feasible, packed] = head(lane);
-    if (packed != kNoHead) {
-      global.push_back(GlobalEntry{feasible, packed, li, lane.stamp});
-      std::push_heap(global.begin(), global.end(), global_cmp);
+    if (!lane.now.empty()) {
+      PushHead(HeadEntry{lane.progress, lane.now.front(), local, lane.stamp});
+    } else if (!lane.future.empty()) {
+      PushHead(HeadEntry{lane.future.front().first, lane.future.front().second, local, lane.stamp});
     }
-  };
-  for (uint32_t li = 0; li < lanes.size(); ++li) {
-    refresh(li);
   }
 
-  while (!global.empty()) {
-    std::pop_heap(global.begin(), global.end(), global_cmp);
-    const GlobalEntry entry = global.back();
-    global.pop_back();
-    LaneState& lane = lanes[entry.lane];
-    if (entry.stamp != lane.stamp) {
-      continue;  // stale: this lane's head changed since the push
+  void RefreshAll() {
+    for (uint32_t li = 0; li < lanes_.size(); ++li) {
+      Refresh(li);
     }
-    const size_t idx = IndexOf(entry.packed);
+  }
+
+  // Drops stale entries off the head index. False when no lane has a ready
+  // task; otherwise *head is the set's next dispatch, left in the index for
+  // Dispatch to pop.
+  bool FreshHead(HeadEntry* head) {
+    while (!heads_.empty()) {
+      *head = heads_.front();
+      if (head->stamp == lanes_[head->lane].stamp) {
+        return true;
+      }
+      PopHead();  // stale: this lane's head changed since the push
+    }
+    return false;
+  }
+
+  // One parent of plan index `child` (on local lane `local`) completed at
+  // `end`; after its last parent the child joins its lane's heaps. The lane's
+  // head is refreshed unless it is `dispatching`, which Dispatch refreshes
+  // once after all of its children.
+  void Release(size_t child, TimeNs end, uint32_t local, uint32_t dispatching) {
+    TimeNs& e = run_->earliest[child];
+    // Same deviation from Algorithm 1 line 16 as the reference engine: the
+    // trailing gap delays the task's own lane but not cross-lane children.
+    e = std::max(e, end);
+    if (--run_->refs[child] == 0) {
+      InsertReady(local, child, e);
+      if (local != dispatching) {
+        Refresh(local);
+      }
+    }
+  }
+
+  // Dispatches `head`, the fresh index minimum FreshHead just returned: pops
+  // it, records its start, end and busy time, advances its lane, migrates the
+  // bounds the lane crossed, and hands every CSR child slot to
+  // `release(slot, child, end, local lane)` — Release, or a route elsewhere.
+  template <typename ReleaseStep>
+  void Dispatch(const HeadEntry& head, ReleaseStep&& release) {
+    PopHead();
+    LaneState& lane = lanes_[head.lane];
+    const size_t idx = IndexOf(head.packed);
     if (!lane.now.empty()) {
-      DD_CHECK_EQ(lane.now.front(), entry.packed);
+      DD_CHECK_EQ(lane.now.front(), head.packed);
       std::pop_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
       lane.now.pop_back();
     } else {
-      DD_CHECK_EQ(lane.future.front().second, entry.packed);
+      DD_CHECK_EQ(lane.future.front().second, head.packed);
       std::pop_heap(lane.future.begin(), lane.future.end(),
                     std::greater<std::pair<TimeNs, uint64_t>>());
       lane.future.pop_back();
     }
 
-    const TimeNs start = entry.feasible;
-    const TimeNs end = start + duration[idx];
-    const size_t id = static_cast<size_t>(s.task_ids[idx]);
-    result.start[id] = start;
-    result.end[id] = end;
-    lane.progress = end + gap[idx];  // gap occupies the lane (Alg. 1 line 13)
+    const TimeNs start = head.feasible;
+    const TimeNs end = start + run_->duration[idx];
+    const size_t id = static_cast<size_t>(run_->task_ids[idx]);
+    run_->start[id] = start;
+    run_->end[id] = end;
+    lane.progress = end + run_->gap[idx];  // gap occupies the lane (Alg. 1 line 13)
+    lane.busy += run_->duration[idx];
     lane.dispatched_any = true;
-    result.lane_busy[entry.lane] += duration[idx];
-    result.makespan = std::max(result.makespan, end);
-    ++result.dispatched;
+    makespan_ = std::max(makespan_, end);
+    ++dispatched_;
 
     // Bounds the lane just crossed become plain tie-break candidates.
     while (!lane.future.empty() && lane.future.front().first <= lane.progress) {
@@ -180,36 +219,96 @@ SimResult SimPlan::Run() const {
       std::push_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
     }
 
-    const int32_t* child = s.succ.data() + s.succ_offset[idx];
-    const int32_t* child_end = s.succ.data() + s.succ_offset[idx + 1];
-    for (; child != child_end; ++child) {
-      const size_t ci = static_cast<size_t>(*child);
-      TimeNs& e = earliest[ci];
-      // Same deviation from Algorithm 1 line 16 as the reference engine: the
-      // trailing gap delays the task's own lane but not cross-lane children.
-      e = std::max(e, end);
-      if (--refs[ci] == 0) {
-        const uint32_t cl = static_cast<uint32_t>(s.lane[ci]);
-        insert_ready(lanes[cl], ci, e);
-        if (cl != entry.lane) {
-          refresh(cl);
-        }
-      }
+    for (int32_t k = run_->succ_offset[idx]; k < run_->succ_offset[idx + 1]; ++k) {
+      release(k, static_cast<size_t>(run_->succ[k]), end, head.lane);
     }
-    refresh(entry.lane);
+    Refresh(head.lane);
   }
 
-  for (size_t li = 0; li < lanes.size(); ++li) {
-    if (lanes[li].dispatched_any) {
-      result.lane_end[li] = lanes[li].progress;
+  // Adds the set's lane accounting, makespan and dispatch count to `result`.
+  void Fold(SimResult* result) const {
+    for (size_t li = 0; li < lanes_.size(); ++li) {
+      result->lane_busy[lane_ids_[li]] = lanes_[li].busy;
+      if (lanes_[li].dispatched_any) {
+        result->lane_end[lane_ids_[li]] = lanes_[li].progress;
+      }
     }
+    result->makespan = std::max(result->makespan, makespan_);
+    result->dispatched += dispatched_;
   }
-  DD_CHECK_EQ(result.dispatched, static_cast<int>(n)) << "cycle or disconnected bookkeeping";
+
+ private:
+  void PushHead(const HeadEntry& entry) {
+    heads_.push_back(entry);
+    std::push_heap(heads_.begin(), heads_.end(), HeadCmp());
+  }
+  void PopHead() {
+    std::pop_heap(heads_.begin(), heads_.end(), HeadCmp());
+    heads_.pop_back();
+  }
+
+  RunArrays* run_;
+  std::vector<uint32_t> lane_ids_;  // local lane -> plan lane
+  std::vector<LaneState> lanes_;
+  std::vector<HeadEntry> heads_;
+  TimeNs makespan_ = 0;
+  int dispatched_ = 0;
+};
+
+// Reports whether the run was cut short; a run that was not must have
+// dispatched every task.
+void FinishRun(const SimResult& result, size_t n, bool expired, bool* deadline_hit) {
+  if (deadline_hit != nullptr) {
+    *deadline_hit = expired;
+  }
+  if (!expired) {
+    DD_CHECK_EQ(result.dispatched, static_cast<int>(n)) << "cycle or disconnected bookkeeping";
+  }
+}
+
+}  // namespace
+
+SimResult SimPlan::Run(const Deadline* deadline, bool* deadline_hit) const {
+  if (deadline_hit != nullptr) {
+    *deadline_hit = false;
+  }
+  SimResult result;
+  if (empty()) {
+    return result;
+  }
+  const Structure& s = *structure_;
+  RunArrays run = BeginRun(s, duration_, gap_, order_key_, &result);
+  std::vector<uint32_t> all_lanes(s.lane_threads.size());
+  std::iota(all_lanes.begin(), all_lanes.end(), 0u);
+  LaneSet lanes(&run, s.lane_offset.data(), std::move(all_lanes));
+  for (const int32_t idx : s.initial_ready) {
+    lanes.InsertReady(static_cast<uint32_t>(s.lane[static_cast<size_t>(idx)]),
+                      static_cast<size_t>(idx), 0);
+  }
+  lanes.RefreshAll();
+
+  // Cooperative cancellation every 1024 dispatches, under a bounded deadline
+  // only: a caller without one pays no clock read.
+  const bool bounded = deadline != nullptr && deadline->bounded();
+  bool expired = false;
+  HeadEntry head;
+  while (lanes.FreshHead(&head)) {
+    if (bounded && (lanes.dispatched() & 1023) == 0 && deadline->Expired()) {
+      expired = true;
+      break;
+    }
+    // The identity lane map: a child's plan lane is its local lane.
+    lanes.Dispatch(head, [&](int32_t, size_t child, TimeNs end, uint32_t lane) {
+      lanes.Release(child, end, static_cast<uint32_t>(run.lane[child]), lane);
+    });
+  }
+  lanes.Fold(&result);
+  FinishRun(result, s.task_ids.size(), expired, deadline_hit);
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Sharded dispatch: the serial engine's loop, run per shard between
+// Sharded dispatch: one lane set per shard, each drained between
 // conservative synchronization windows.
 //
 // Why this is exact and not approximate: a task's simulated start is
@@ -248,19 +347,9 @@ struct ShardDelivery {
   TimeNs end = 0;
 };
 
-// Per-shard engine state: the serial engine's lane/heap structures,
-// restricted to the shard's lanes (heap entries hold *local* lane indices).
-struct ShardEngineState {
-  std::vector<uint32_t> lane_ids;  // local lane index -> global lane
-  std::vector<LaneState> lanes;
-  std::vector<GlobalEntry> heap;
+struct Shard {
+  LaneSet lanes;             // the shard's lanes, heads keyed by local lane
   size_t window_cursor = 0;  // relative to the shard's window range
-  // Head candidate recorded when the shard stalls at its horizon.
-  TimeNs cand_feasible = 0;
-  uint64_t cand_packed = kNoHead;
-  int round_dispatched = 0;
-  TimeNs makespan = 0;
-  int dispatched = 0;
 };
 
 }  // namespace
@@ -269,212 +358,90 @@ SimResult ShardPlan::Run(ThreadPool* pool, const Deadline* deadline, bool* deadl
   if (deadline_hit != nullptr) {
     *deadline_hit = false;
   }
-  const ShardPlan& shards = *this;
-  const SimPlan& plan = *shards.plan_;
+  const SimPlan& plan = *plan_;
   SimResult result;
   if (plan.empty()) {
     return result;
   }
   const SimPlan::Structure& s = *plan.structure_;
-  const std::vector<TimeNs>& duration = plan.duration_;
-  const std::vector<TimeNs>& gap = plan.gap_;
-  const std::vector<uint64_t>& order_key = plan.order_key_;
   const size_t n = s.task_ids.size();
-  const int S = shards.num_shards_;
-
-  result.start.assign(static_cast<size_t>(s.capacity), -1);
-  result.end.assign(static_cast<size_t>(s.capacity), -1);
-  result.lane_threads = s.lane_threads;
-  result.lane_busy.assign(s.lane_threads.size(), 0);
-  result.lane_end.assign(s.lane_threads.size(), -1);
-  if (n == 0) {
-    return result;
-  }
+  const int S = num_shards_;
 
   // Owner-partitioned shared arrays: only the shard owning a task writes its
   // entries (see the thread-discipline note above).
-  std::vector<TimeNs> earliest(n, 0);
-  std::vector<int32_t> refs = s.pred_count;
-  std::vector<uint8_t> published(shards.window_end_.size(), 0);
+  RunArrays run = BeginRun(s, plan.duration_, plan.gap_, plan.order_key_, &result);
+  std::vector<uint8_t> published(window_end_.size(), 0);
 
-  std::vector<int32_t> local_of_lane(s.lane_threads.size(), -1);
-  std::vector<ShardEngineState> st(static_cast<size_t>(S));
+  std::vector<uint32_t> local_of_lane(s.lane_threads.size(), 0);
+  std::vector<Shard> st;
+  st.reserve(static_cast<size_t>(S));
   for (int sh = 0; sh < S; ++sh) {
-    ShardEngineState& ss = st[static_cast<size_t>(sh)];
-    const int32_t begin = shards.shard_lane_offset_[static_cast<size_t>(sh)];
-    const int32_t end = shards.shard_lane_offset_[static_cast<size_t>(sh) + 1];
-    ss.lane_ids.reserve(static_cast<size_t>(end - begin));
-    ss.lanes.resize(static_cast<size_t>(end - begin));
-    for (int32_t j = begin; j < end; ++j) {
-      const uint32_t lane = static_cast<uint32_t>(shards.shard_lanes_[static_cast<size_t>(j)]);
-      local_of_lane[lane] = static_cast<int32_t>(ss.lane_ids.size());
-      ss.lane_ids.push_back(lane);
-      const size_t lane_tasks = static_cast<size_t>(s.lane_offset[lane + 1] - s.lane_offset[lane]);
-      LaneState& state = ss.lanes[ss.lane_ids.size() - 1];
-      state.now.reserve(std::min<size_t>(lane_tasks, 64));
-      state.future.reserve(std::min<size_t>(lane_tasks, 64));
+    const size_t begin = static_cast<size_t>(shard_lane_offset_[static_cast<size_t>(sh)]);
+    const size_t end = static_cast<size_t>(shard_lane_offset_[static_cast<size_t>(sh) + 1]);
+    std::vector<uint32_t> lane_ids(shard_lanes_.begin() + begin, shard_lanes_.begin() + end);
+    for (uint32_t li = 0; li < lane_ids.size(); ++li) {
+      local_of_lane[lane_ids[li]] = li;
     }
-    ss.heap.reserve(ss.lanes.size() + 16);
+    st.push_back(Shard{LaneSet(&run, s.lane_offset.data(), std::move(lane_ids))});
   }
-
-  auto insert_ready = [&](LaneState& lane, size_t idx, TimeNs bound) {
-    if (bound <= lane.progress) {
-      lane.now.push_back(order_key[idx]);
-      std::push_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
-    } else {
-      lane.future.emplace_back(bound, order_key[idx]);
-      std::push_heap(lane.future.begin(), lane.future.end(),
-                     std::greater<std::pair<TimeNs, uint64_t>>());
-    }
-  };
-  auto head = [](const LaneState& lane) -> std::pair<TimeNs, uint64_t> {
-    if (!lane.now.empty()) {
-      return {lane.progress, lane.now.front()};
-    }
-    if (!lane.future.empty()) {
-      return lane.future.front();
-    }
-    return {0, kNoHead};
-  };
-  const GlobalHeapCmp heap_cmp;
-  auto refresh = [&](ShardEngineState& ss, uint32_t local_lane) {
-    LaneState& lane = ss.lanes[local_lane];
-    ++lane.stamp;
-    const auto [feasible, packed] = head(lane);
-    if (packed != kNoHead) {
-      ss.heap.push_back(GlobalEntry{feasible, packed, local_lane, lane.stamp});
-      std::push_heap(ss.heap.begin(), ss.heap.end(), heap_cmp);
-    }
-  };
-
   for (const int32_t idx : s.initial_ready) {
     const uint32_t lane = static_cast<uint32_t>(s.lane[static_cast<size_t>(idx)]);
-    ShardEngineState& ss = st[static_cast<size_t>(shards.shard_of_lane_[lane])];
-    ss.lanes[static_cast<size_t>(local_of_lane[lane])].now.push_back(
-        order_key[static_cast<size_t>(idx)]);
+    st[static_cast<size_t>(shard_of_lane_[lane])].lanes.InsertReady(local_of_lane[lane],
+                                                                     static_cast<size_t>(idx), 0);
   }
-  for (ShardEngineState& ss : st) {
-    for (uint32_t li = 0; li < ss.lanes.size(); ++li) {
-      std::make_heap(ss.lanes[li].now.begin(), ss.lanes[li].now.end(), std::greater<uint64_t>());
-      refresh(ss, li);
-    }
+  for (Shard& shard : st) {
+    shard.lanes.RefreshAll();
   }
 
   // outbox[source * S + target]: completions crossing between two shards this
   // round. Written by the source's dispatch, drained by the target's delivery.
   std::vector<std::vector<ShardDelivery>> outbox(static_cast<size_t>(S) * static_cast<size_t>(S));
 
-  // Dispatches one popped-and-fresh heap entry; the serial engine's dispatch
-  // body with cross-shard children routed to the outboxes.
-  auto dispatch_entry = [&](int sh, const GlobalEntry& entry) {
-    ShardEngineState& ss = st[static_cast<size_t>(sh)];
-    LaneState& lane = ss.lanes[entry.lane];
-    const size_t idx = IndexOf(entry.packed);
-    if (!lane.now.empty()) {
-      DD_CHECK_EQ(lane.now.front(), entry.packed);
-      std::pop_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
-      lane.now.pop_back();
-    } else {
-      DD_CHECK_EQ(lane.future.front().second, entry.packed);
-      std::pop_heap(lane.future.begin(), lane.future.end(),
-                    std::greater<std::pair<TimeNs, uint64_t>>());
-      lane.future.pop_back();
-    }
-
-    const TimeNs start = entry.feasible;
-    const TimeNs end = start + duration[idx];
-    const size_t id = static_cast<size_t>(s.task_ids[idx]);
-    result.start[id] = start;
-    result.end[id] = end;
-    lane.progress = end + gap[idx];
-    lane.dispatched_any = true;
-    result.lane_busy[ss.lane_ids[entry.lane]] += duration[idx];
-    ss.makespan = std::max(ss.makespan, end);
-    ++ss.dispatched;
-
-    while (!lane.future.empty() && lane.future.front().first <= lane.progress) {
-      const uint64_t migrated = lane.future.front().second;
-      std::pop_heap(lane.future.begin(), lane.future.end(),
-                    std::greater<std::pair<TimeNs, uint64_t>>());
-      lane.future.pop_back();
-      lane.now.push_back(migrated);
-      std::push_heap(lane.now.begin(), lane.now.end(), std::greater<uint64_t>());
-    }
-
-    for (int32_t k = s.succ_offset[idx]; k < s.succ_offset[idx + 1]; ++k) {
-      const size_t ci = static_cast<size_t>(s.succ[static_cast<size_t>(k)]);
-      const uint32_t cl = static_cast<uint32_t>(s.lane[ci]);
-      const int32_t cs = shards.shard_of_lane_[cl];
+  // Dispatches shard `sh`'s fresh head; children on other shards are routed
+  // to the outboxes instead of released.
+  auto dispatch = [&](int sh, const HeadEntry& head) {
+    LaneSet& lanes = st[static_cast<size_t>(sh)].lanes;
+    lanes.Dispatch(head, [&](int32_t slot, size_t child, TimeNs end, uint32_t lane) {
+      const uint32_t cl = static_cast<uint32_t>(s.lane[child]);
+      const int32_t cs = shard_of_lane_[cl];
       if (cs != sh) {
         outbox[static_cast<size_t>(sh) * static_cast<size_t>(S) + static_cast<size_t>(cs)]
-            .push_back(ShardDelivery{static_cast<int32_t>(ci), shards.edge_window_pos_[static_cast<size_t>(k)], end});
-        continue;
+            .push_back(ShardDelivery{static_cast<int32_t>(child),
+                                     edge_window_pos_[static_cast<size_t>(slot)], end});
+        return;
       }
-      TimeNs& e = earliest[ci];
-      e = std::max(e, end);
-      if (--refs[ci] == 0) {
-        const uint32_t local = static_cast<uint32_t>(local_of_lane[cl]);
-        insert_ready(ss.lanes[local], ci, e);
-        if (local != entry.lane) {
-          refresh(ss, local);
-        }
-      }
-    }
-    refresh(ss, entry.lane);
+      lanes.Release(child, end, local_of_lane[cl], lane);
+    });
   };
 
   // One dispatch round: advance the horizon over newly published entries,
-  // then drain the shard's heap while the head is strictly inside it.
+  // then drain the shard's lane set while its head is strictly inside it.
   auto dispatch_phase = [&](int sh) {
-    ShardEngineState& ss = st[static_cast<size_t>(sh)];
-    const size_t wbegin = static_cast<size_t>(shards.window_offset_[static_cast<size_t>(sh)]);
-    const size_t wend = static_cast<size_t>(shards.window_offset_[static_cast<size_t>(sh) + 1]);
-    while (wbegin + ss.window_cursor < wend && published[wbegin + ss.window_cursor] != 0) {
-      ++ss.window_cursor;
+    Shard& shard = st[static_cast<size_t>(sh)];
+    const size_t wbegin = static_cast<size_t>(window_offset_[static_cast<size_t>(sh)]);
+    const size_t wend = static_cast<size_t>(window_offset_[static_cast<size_t>(sh) + 1]);
+    while (wbegin + shard.window_cursor < wend && published[wbegin + shard.window_cursor] != 0) {
+      ++shard.window_cursor;
     }
     const TimeNs horizon =
-        wbegin + ss.window_cursor < wend ? shards.window_end_[wbegin + ss.window_cursor] : kInfTime;
-    ss.round_dispatched = 0;
-    ss.cand_packed = kNoHead;
-    while (!ss.heap.empty()) {
-      std::pop_heap(ss.heap.begin(), ss.heap.end(), heap_cmp);
-      const GlobalEntry entry = ss.heap.back();
-      ss.heap.pop_back();
-      if (entry.stamp != ss.lanes[entry.lane].stamp) {
-        continue;
-      }
-      if (entry.feasible >= horizon) {
-        // Stalled at the window: remember the head for the stall fallback and
-        // put the (still fresh) entry back.
-        ss.cand_feasible = entry.feasible;
-        ss.cand_packed = entry.packed;
-        ss.heap.push_back(entry);
-        std::push_heap(ss.heap.begin(), ss.heap.end(), heap_cmp);
-        break;
-      }
-      dispatch_entry(sh, entry);
-      ++ss.round_dispatched;
+        wbegin + shard.window_cursor < wend ? window_end_[wbegin + shard.window_cursor] : kInfTime;
+    HeadEntry head;
+    while (shard.lanes.FreshHead(&head) && head.feasible < horizon) {
+      dispatch(sh, head);
     }
   };
 
   // One delivery round: apply every completion addressed to this shard and
   // publish the corresponding window entries.
   auto delivery_phase = [&](int sh) {
-    ShardEngineState& ss = st[static_cast<size_t>(sh)];
+    LaneSet& lanes = st[static_cast<size_t>(sh)].lanes;
     for (int src = 0; src < S; ++src) {
       std::vector<ShardDelivery>& box =
           outbox[static_cast<size_t>(src) * static_cast<size_t>(S) + static_cast<size_t>(sh)];
       for (const ShardDelivery& d : box) {
         published[static_cast<size_t>(d.window_pos)] = 1;
         const size_t ci = static_cast<size_t>(d.child);
-        TimeNs& e = earliest[ci];
-        e = std::max(e, d.end);
-        if (--refs[ci] == 0) {
-          const uint32_t local =
-              static_cast<uint32_t>(local_of_lane[static_cast<size_t>(s.lane[ci])]);
-          insert_ready(ss.lanes[local], ci, e);
-          refresh(ss, local);
-        }
+        lanes.Release(ci, d.end, local_of_lane[static_cast<size_t>(s.lane[ci])], kNoLane);
       }
       box.clear();
     }
@@ -502,82 +469,49 @@ SimResult ShardPlan::Run(ThreadPool* pool, const Deadline* deadline, bool* deadl
         delivery_phase(sh);
       }
     }
-    size_t round = 0;
-    for (const ShardEngineState& ss : st) {
-      round += static_cast<size_t>(ss.round_dispatched);
+    const size_t before = total;
+    total = 0;
+    for (const Shard& shard : st) {
+      total += static_cast<size_t>(shard.lanes.dispatched());
     }
-    total += round;
-    if (round != 0 || total >= n) {
+    if (total != before || total >= n) {
       continue;
     }
-    // Every shard stalled at its horizon without progress. The globally
-    // minimal candidate is exactly the serial engine's next dispatch (see the
-    // header note): dispatch that single task and publish it immediately —
-    // the pool is idle between rounds, so the orchestrator may touch any
-    // shard's state.
+    // Every shard stalled at its horizon without progress, so no outbox
+    // received anything and each shard's fresh head is where its drain
+    // stopped. The globally minimal head is exactly the serial engine's next
+    // dispatch (see the header note): dispatch that single task and publish
+    // it immediately — the pool is idle between rounds, so the orchestrator
+    // may touch any shard's state.
     int best = -1;
+    HeadEntry best_head;
     for (int sh = 0; sh < S; ++sh) {
-      const ShardEngineState& ss = st[static_cast<size_t>(sh)];
-      if (ss.cand_packed == kNoHead) {
-        continue;
-      }
-      if (best < 0 || ss.cand_feasible < st[static_cast<size_t>(best)].cand_feasible ||
-          (ss.cand_feasible == st[static_cast<size_t>(best)].cand_feasible &&
-           ss.cand_packed < st[static_cast<size_t>(best)].cand_packed)) {
+      HeadEntry head;
+      if (st[static_cast<size_t>(sh)].lanes.FreshHead(&head) &&
+          (best < 0 || HeadCmp()(best_head, head))) {
         best = sh;
+        best_head = head;
       }
     }
     DD_CHECK_GE(best, 0) << "sharded dispatch stalled with no candidates";
-    ShardEngineState& ss = st[static_cast<size_t>(best)];
-    while (true) {
-      DD_CHECK(!ss.heap.empty());
-      std::pop_heap(ss.heap.begin(), ss.heap.end(), heap_cmp);
-      const GlobalEntry entry = ss.heap.back();
-      ss.heap.pop_back();
-      if (entry.stamp != ss.lanes[entry.lane].stamp) {
-        continue;  // stale leftovers may still sort ahead of the fresh head
-      }
-      DD_CHECK_EQ(entry.packed, ss.cand_packed);
-      dispatch_entry(best, entry);
-      break;
-    }
+    dispatch(best, best_head);
     for (int sh = 0; sh < S; ++sh) {
       delivery_phase(sh);
     }
     ++total;
   }
 
-  for (const ShardEngineState& ss : st) {
-    result.makespan = std::max(result.makespan, ss.makespan);
-    result.dispatched += ss.dispatched;
-    for (size_t li = 0; li < ss.lanes.size(); ++li) {
-      if (ss.lanes[li].dispatched_any) {
-        result.lane_end[ss.lane_ids[li]] = ss.lanes[li].progress;
-      }
-    }
+  for (const Shard& shard : st) {
+    shard.lanes.Fold(&result);
   }
-  if (deadline_hit != nullptr) {
-    *deadline_hit = expired;
-  }
-  if (!expired) {
-    DD_CHECK_EQ(result.dispatched, static_cast<int>(n)) << "cycle or disconnected bookkeeping";
-  }
+  FinishRun(result, n, expired, deadline_hit);
   return result;
 }
 
 SimResult RunPlanParallel(const SimPlan& plan, int sim_jobs, ThreadPool* pool,
                           const Deadline* deadline, bool* deadline_hit) {
-  if (deadline_hit != nullptr) {
-    *deadline_hit = false;
-  }
   if (sim_jobs <= 1 || plan.empty()) {
-    if (deadline != nullptr && deadline->Expired()) {
-      if (deadline_hit != nullptr) {
-        *deadline_hit = true;
-      }
-      return SimResult{};
-    }
-    return plan.Run();
+    return plan.Run(deadline, deadline_hit);
   }
   const ShardPlan shards = ShardPlan::Compile(plan, sim_jobs);
   if (pool != nullptr || shards.num_shards() <= 1) {

@@ -126,12 +126,8 @@ WhatIfStatus Daydream::Prepare(const std::function<void(DependencyGraph*)>& tran
 
 WhatIfStatus Daydream::Dispatch(const PreparedWhatIf& prepared, const WhatIfOptions& options,
                                 ThreadPool* pool, TimeNs* predicted) {
-  if (options.sim_jobs <= 1) {
-    *predicted = prepared.plan.Run().makespan;
-    return WhatIfStatus::kOk;
-  }
-  // The sharded engine checks the deadline between synchronization horizons
-  // — the only dispatch path with a cooperative mid-run exit.
+  // RunPlanParallel picks serial or sharded dispatch; both check the
+  // deadline mid-run and stop with a partial result once it expires.
   bool deadline_hit = false;
   *predicted =
       RunPlanParallel(prepared.plan, options.sim_jobs, pool, &options.deadline, &deadline_hit)

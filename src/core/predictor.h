@@ -52,7 +52,7 @@ enum class WhatIfStatus {
   kFailsLint,           // validating: the full GraphLint catalog found errors
   kInconsistentPlan,    // validating: LintPlan found errors
   kInconsistentShards,  // validating a sharded dispatch: LintShards found errors
-  kDeadlineExceeded,    // after the transform, or between shard horizons
+  kDeadlineExceeded,    // after the transform, or during plan dispatch
 };
 
 // The words a diagnostic puts after the what-if's name: "produced an invalid
@@ -66,8 +66,9 @@ struct WhatIfOptions {
   bool validate = false;
   // Shards for the plan dispatch (RunPlanParallel; 1 = the serial engine).
   int sim_jobs = 1;
-  // Checked once the transformed graph has passed lint, and between shard
-  // horizons of a sharded dispatch. Unbounded by default.
+  // Checked once the transformed graph has passed lint, and during dispatch:
+  // every 1024 dispatches serially, between shard horizons when sharded.
+  // Unbounded by default.
   Deadline deadline;
 };
 
@@ -122,7 +123,8 @@ class Daydream {
 
   // The dispatch stage: *predicted is the plan's makespan. `pool` optionally
   // carries the shard workers when options.sim_jobs > 1 (null spawns a
-  // private pool for the call).
+  // private pool for the call). Returns kDeadlineExceeded, with a partial
+  // makespan, when options.deadline expires mid-dispatch.
   static WhatIfStatus Dispatch(const PreparedWhatIf& prepared, const WhatIfOptions& options,
                                ThreadPool* pool, TimeNs* predicted);
 

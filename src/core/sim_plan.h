@@ -62,11 +62,13 @@ class SimPlan {
   static SimPlan Retime(const SimPlan& donor, const DependencyGraph& graph,
                         const Scheduler& scheduler);
 
-  // Dispatches the plan (implemented by the event engine,
+  // Dispatches the plan serially (implemented by the event engine,
   // src/core/event_engine.cc). Produces the same SimResult as the reference
   // frontier scan (src/core/reference_engine.h) on the graph the plan was
-  // compiled from.
-  SimResult Run() const;
+  // compiled from. A bounded `deadline` is checked every 1024 dispatches: on
+  // expiry the run stops, sets *deadline_hit and returns a partial result. An
+  // unbounded or absent deadline costs no clock read.
+  SimResult Run(const Deadline* deadline = nullptr, bool* deadline_hit = nullptr) const;
 
   bool empty() const { return structure_ == nullptr; }
   int num_tasks() const;
@@ -207,10 +209,10 @@ class ShardPlan {
 
 // Dispatches `plan` across `sim_jobs` shards sharing `pool`; a null pool
 // spawns a private pool sized to the shard count for the duration of the
-// call. sim_jobs <= 1 is exactly the serial plan.Run(). Every path returns
-// the identical SimResult. `deadline`/`deadline_hit` follow ShardPlan::Run
-// (checked between rounds on the sharded path, before dispatch on the serial
-// one).
+// call. sim_jobs <= 1 is exactly the serial plan.Run(deadline, deadline_hit).
+// Every path returns the identical SimResult. `deadline` is checked every
+// 1024 dispatches on the serial path and between rounds on the sharded one;
+// on expiry *deadline_hit is set and the result is partial.
 SimResult RunPlanParallel(const SimPlan& plan, int sim_jobs, ThreadPool* pool = nullptr,
                           const Deadline* deadline = nullptr, bool* deadline_hit = nullptr);
 

@@ -253,6 +253,14 @@ void RankBySpeedup(std::vector<SweepOutcome>* outcomes) {
   });
 }
 
+std::string SweepCaseJson(const SweepOutcome& outcome) {
+  return StrFormat(
+      "{\"name\": \"%s\", \"predicted_ms\": %.3f, \"speedup_pct\": %.2f, "
+      "\"speedup_ratio\": %.3f, \"tasks\": %d}",
+      JsonEscape(outcome.name).c_str(), ToMs(outcome.prediction.predicted),
+      outcome.prediction.SpeedupPct(), outcome.prediction.SpeedupRatio(), outcome.tasks);
+}
+
 std::string SweepReportJson(const std::vector<SweepOutcome>& outcomes) {
   std::ostringstream os;
   os << "{\n";
@@ -263,12 +271,7 @@ std::string SweepReportJson(const std::vector<SweepOutcome>& outcomes) {
   }
   os << "  \"cases\": [\n";
   for (size_t i = 0; i < outcomes.size(); ++i) {
-    const SweepOutcome& o = outcomes[i];
-    os << StrFormat(
-        "    {\"name\": \"%s\", \"predicted_ms\": %.3f, \"speedup_pct\": %.2f, "
-        "\"speedup_ratio\": %.3f, \"tasks\": %d}%s\n",
-        JsonEscape(o.name).c_str(), ToMs(o.prediction.predicted), o.prediction.SpeedupPct(),
-        o.prediction.SpeedupRatio(), o.tasks, i + 1 < outcomes.size() ? "," : "");
+    os << "    " << SweepCaseJson(outcomes[i]) << (i + 1 < outcomes.size() ? ",\n" : "\n");
   }
   os << "  ]\n}\n";
   return os.str();

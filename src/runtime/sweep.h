@@ -125,7 +125,10 @@ bool AppendPipelineSweep(std::vector<SweepCase>* cases, const Trace& trace,
 // Sorts outcomes best-first: predicted makespan ascending, ties by name.
 void RankBySpeedup(std::vector<SweepOutcome>* outcomes);
 
-// Serialization for the CLI and CI artifacts.
+// Serialization for the CLI and CI artifacts. SweepCaseJson is one case as a
+// single-line JSON object — the element both SweepReportJson and serve's
+// `sweep` verb list.
+std::string SweepCaseJson(const SweepOutcome& outcome);
 std::string SweepReportJson(const std::vector<SweepOutcome>& outcomes);
 bool WriteSweepCsv(const std::vector<SweepOutcome>& outcomes, const std::string& path);
 

@@ -454,7 +454,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
   if (verb == "predict") {
     WhatIfRequest what_if;
     std::string error;
-    if (!ParseWhatIfRequest(args, &what_if, &error)) {
+    if (!ParseWhatIfRequest(args, &what_if, &error, FlagStyle::kServe)) {
       response.line = ErrorResponse(id, "bad_request", error);
       return response;
     }
@@ -506,7 +506,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
     std::string error;
     WhatIfRequest what_if;
     const bool has_what_if = !args.Get("what-if").empty();
-    if (has_what_if && !ParseWhatIfRequest(args, &what_if, &error)) {
+    if (has_what_if && !ParseWhatIfRequest(args, &what_if, &error, FlagStyle::kServe)) {
       response.line = ErrorResponse(id, "bad_request", error);
       return response;
     }
@@ -564,11 +564,7 @@ RequestExecutor::Response RequestExecutor::Handle(const std::string& line,
       if (list.size() > 1) {
         list += ", ";
       }
-      list += StrFormat("{\"name\": \"%s\", \"predicted_ms\": %.3f, \"speedup_pct\": %.2f, "
-                        "\"speedup_ratio\": %.3f, \"tasks\": %d}",
-                        JsonEscape(outcome.name).c_str(), ToMs(outcome.prediction.predicted),
-                        outcome.prediction.SpeedupPct(), outcome.prediction.SpeedupRatio(),
-                        outcome.tasks);
+      list += SweepCaseJson(outcome);
     }
     list += "]";
     writer.AddRaw("cases", list);

@@ -249,7 +249,7 @@ SessionStatus TraceSession::Predict(const WhatIfRequest& request, PredictOutcome
   outcome->prediction.baseline = daydream_.BaselineSimTime();
   if (Daydream::Dispatch(prepared, options, nullptr, &outcome->prediction.predicted) !=
       WhatIfStatus::kOk) {
-    *error = "deadline expired during sharded plan dispatch";
+    *error = "deadline expired during plan dispatch";
     return SessionStatus::kDeadlineExceeded;
   }
   if (memoize) {

@@ -4,8 +4,9 @@
 // --request-timeout-ms, possibly tightened by the request's own `timeout_ms`
 // field). The deadline is checked at cheap, well-defined points — at queue
 // dequeue before any work starts, between pipeline stages inside
-// TraceSession::Predict, between cases inside SweepRunner::Run, and between
-// synchronization horizons inside the sharded dispatch engine — so a request
+// TraceSession::Predict, between cases inside SweepRunner::Run, and inside
+// plan dispatch (every 1024 dispatches of the serial engine, between
+// synchronization horizons of the sharded one) — so a request
 // that ran out of budget answers a `deadline_exceeded` envelope and frees its
 // worker instead of hogging it for the rest of an unbounded simulation.
 //

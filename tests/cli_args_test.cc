@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -507,8 +508,42 @@ TEST(ParseSweepRequest, SpellsDiagnosticsForTheCliAndForServe) {
             "trace lacks a known model name (needed for pipeline_stages)");
   Args cluster;
   cluster.flags["cluster"] = "4xa";
-  EXPECT_NE(error_for(cluster, TinyTrace(), FlagStyle::kServe).find("bad --cluster '4xa'"),
+  EXPECT_NE(error_for(cluster, TinyTrace(), FlagStyle::kServe).find("bad cluster '4xa'"),
             std::string::npos);
+}
+
+// predict and lint lower onto ParseWhatIfRequest: the same spelling rule as
+// the sweep verb's, down to the cluster and pipeline parsers it calls.
+TEST(ParseWhatIfRequest, SpellsDiagnosticsForTheCliAndForServe) {
+  const auto error_for = [](const std::map<std::string, std::string>& flags, FlagStyle style) {
+    Args args;
+    args.command = "predict";
+    args.flags = flags;
+    WhatIfRequest request;
+    std::string error;
+    EXPECT_FALSE(ParseWhatIfRequest(args, &request, &error, style));
+    return error;
+  };
+  const std::map<std::string, std::string> sim_jobs = {{"what-if", "amp"}, {"sim-jobs", "0"}};
+  EXPECT_EQ(error_for(sim_jobs, FlagStyle::kCli),
+            "bad --sim-jobs '0' (expected a positive integer)");
+  EXPECT_EQ(error_for(sim_jobs, FlagStyle::kServe),
+            "bad sim_jobs '0' (expected a positive integer)");
+  const std::map<std::string, std::string> cluster = {{"what-if", "distributed"},
+                                                      {"cluster", "4xa"}};
+  EXPECT_EQ(error_for(cluster, FlagStyle::kServe).rfind("bad cluster '4xa' (expected MxG", 0), 0u);
+  const std::map<std::string, std::string> gbps = {{"what-if", "p3"}, {"gbps", "fast"}};
+  EXPECT_EQ(error_for(gbps, FlagStyle::kServe), "bad gbps 'fast' (expected a positive number)");
+  const std::map<std::string, std::string> stages = {{"what-if", "pipeline"},
+                                                     {"pipeline-stages", "2,4"}};
+  EXPECT_EQ(error_for(stages, FlagStyle::kCli),
+            "predict --what-if pipeline needs --pipeline-stages with a single value");
+  EXPECT_EQ(error_for(stages, FlagStyle::kServe),
+            "predict what_if pipeline needs pipeline_stages with a single value");
+  const std::map<std::string, std::string> schedule = {
+      {"what-if", "pipeline"}, {"pipeline-stages", "2"}, {"schedule", "zigzag"}};
+  EXPECT_EQ(error_for(schedule, FlagStyle::kServe),
+            "bad schedule 'zigzag' (expected gpipe, 1f1b or both)");
 }
 
 // Every thread count has one maximum, checked before anything sizes a pool.

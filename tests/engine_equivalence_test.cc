@@ -610,5 +610,71 @@ TEST(ShardDifferentialDeterminism, RepeatedRunsAreByteIdentical) {
   }
 }
 
+// ---- Deadlines ----
+//
+// Both dispatch paths stop early once a bounded deadline expires: the serial
+// engine checks every 1024 dispatches, the sharded one between rounds. The
+// plans here exceed 1024 tasks, so an expired deadline always leaves work
+// undone, and an unbounded one changes nothing.
+
+// Replicated ResNet-50 workers on an all-reduce channel: several shards.
+SimPlan ClusterPlan() {
+  const Trace& trace = CachedTrace(ModelId::kResNet50);
+  DistributedWhatIf opts;
+  opts.cluster.machines = 2;
+  opts.cluster.gpus_per_machine = 2;
+  DependencyGraph cluster = ReplicateWorkers(BuildDependencyGraph(trace), 4);
+  WhatIfDistributed(&cluster, trace.gradients(), opts);
+  return SimPlan::Compile(cluster, EarliestStartScheduler());
+}
+
+TEST(DispatchDeadline, SerialDispatchStopsOnAnExpiredDeadline) {
+  const Daydream daydream(CachedTrace(ModelId::kResNet50));
+  WhatIfOptions options;
+  PreparedWhatIf prepared;
+  LintReport report;
+  ASSERT_EQ(daydream.Prepare(nullptr, options, &prepared, &report), WhatIfStatus::kOk);
+  ASSERT_GT(prepared.plan.num_tasks(), 1024);
+
+  const Deadline spent = Deadline::AfterMs(0);
+  options.deadline = spent;
+  ASSERT_EQ(options.sim_jobs, 1);
+  TimeNs predicted = -1;
+  EXPECT_EQ(Daydream::Dispatch(prepared, options, nullptr, &predicted),
+            WhatIfStatus::kDeadlineExceeded);
+
+  bool hit = false;
+  const SimResult partial = prepared.plan.Run(&spent, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_LT(partial.dispatched, prepared.plan.num_tasks());
+}
+
+TEST(DispatchDeadline, ShardedDispatchStopsOnAnExpiredDeadline) {
+  const SimPlan plan = ClusterPlan();
+  ASSERT_GT(ShardPlan::Compile(plan, 4).num_shards(), 1);
+  const Deadline spent = Deadline::AfterMs(0);
+  ThreadPool pool(3);
+  bool hit = false;
+  const SimResult partial = RunPlanParallel(plan, 4, &pool, &spent, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_LT(partial.dispatched, plan.num_tasks());
+}
+
+TEST(DispatchDeadline, UnboundedDeadlineChangesNothing) {
+  const SimPlan plan = ClusterPlan();
+  ASSERT_GT(plan.num_tasks(), 1024);
+  const SimResult serial = plan.Run();
+  const Deadline unbounded;
+  ThreadPool pool(3);
+  for (const int jobs : ShardJobLevels()) {
+    bool hit = true;
+    ExpectSameResult(serial, RunPlanParallel(plan, jobs, &pool, &unbounded, &hit));
+    EXPECT_FALSE(hit) << "sim_jobs " << jobs;
+  }
+  bool hit = true;
+  ExpectSameResult(serial, plan.Run(&unbounded, &hit));
+  EXPECT_FALSE(hit);
+}
+
 }  // namespace
 }  // namespace daydream

@@ -258,6 +258,30 @@ TEST_F(ServeTest, PredictReportsUnknownWhatIfsAndBadFlags) {
   EXPECT_EQ(bad_flag.GetString("code"), "bad_request");
 }
 
+// Every verb names a bad field the way the request spells it, never as a
+// command-line flag.
+TEST_F(ServeTest, DiagnosticsSpellRequestFieldsOnEveryVerb) {
+  RequestExecutor executor;
+  const std::string handle = Open(&executor);
+  const std::string session = "\"session\": \"" + handle + "\", ";
+  const JsonObject sim_jobs = Parse(
+      executor
+          .Handle("{\"verb\": \"predict\", " + session + "\"what_if\": \"amp\", \"sim_jobs\": 0}")
+          .line);
+  EXPECT_EQ(sim_jobs.GetString("code"), "bad_request");
+  EXPECT_EQ(sim_jobs.GetString("error"), "bad sim_jobs '0' (expected a positive integer)");
+  for (const std::string verb : {"predict", "lint", "sweep"}) {
+    const std::string what_if = verb == "sweep" ? "" : "\"what_if\": \"distributed\", ";
+    const JsonObject cluster = Parse(
+        executor
+            .Handle("{\"verb\": \"" + verb + "\", " + session + what_if + "\"cluster\": \"4xa\"}")
+            .line);
+    EXPECT_EQ(cluster.GetString("code"), "bad_request") << verb;
+    EXPECT_EQ(cluster.GetString("error").rfind("bad cluster '4xa' (expected MxG", 0), 0u)
+        << verb << ": " << cluster.GetString("error");
+  }
+}
+
 TEST_F(ServeTest, UnknownFieldsAreRejectedNamingThem) {
   // A misspelt field used to be ignored: `clutser` answered the default
   // cluster's question with ok.

@@ -103,7 +103,8 @@ std::optional<double> ParseDouble(const std::string& text) {
 namespace {
 
 // "MxG" → (machines, gpus); *error + nullopt on anything else.
-std::optional<std::pair<int, int>> ParseShape(const std::string& shape, std::string* error) {
+std::optional<std::pair<int, int>> ParseShape(const std::string& shape, FlagStyle style,
+                                              std::string* error) {
   const std::vector<std::string> parts = StrSplit(shape, 'x');
   std::optional<int> machines;
   std::optional<int> gpus;
@@ -113,17 +114,20 @@ std::optional<std::pair<int, int>> ParseShape(const std::string& shape, std::str
   }
   if (!machines.has_value() || !gpus.has_value() || *machines < 1 || *gpus < 1 ||
       *machines > kMaxClusterMachines || *gpus > kMaxGpusPerMachine) {
-    *error = StrFormat("bad --cluster '%s' (expected MxG, e.g. 4x2, with M <= %d and G <= %d)",
-                       shape.c_str(), kMaxClusterMachines, kMaxGpusPerMachine);
+    *error = StrFormat("bad %s '%s' (expected MxG, e.g. 4x2, with M <= %d and G <= %d)",
+                       SpellFlag("cluster", style).c_str(), shape.c_str(), kMaxClusterMachines,
+                       kMaxGpusPerMachine);
     return std::nullopt;
   }
   return std::make_pair(*machines, *gpus);
 }
 
-std::optional<double> ParseBandwidth(const std::string& gbps, std::string* error) {
+std::optional<double> ParseBandwidth(const std::string& gbps, FlagStyle style,
+                                     std::string* error) {
   const std::optional<double> bandwidth = ParseDouble(gbps);
   if (!bandwidth.has_value() || *bandwidth <= 0) {
-    *error = "bad --gbps '" + gbps + "' (expected a positive number)";
+    *error = StrFormat("bad %s '%s' (expected a positive number)", SpellFlag("gbps", style).c_str(),
+                       gbps.c_str());
     return std::nullopt;
   }
   return bandwidth;
@@ -131,12 +135,13 @@ std::optional<double> ParseBandwidth(const std::string& gbps, std::string* error
 
 }  // namespace
 
-std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error) {
-  const std::optional<std::pair<int, int>> shape = ParseShape(args.Get("cluster", "4x1"), error);
+std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error, FlagStyle style) {
+  const std::optional<std::pair<int, int>> shape =
+      ParseShape(args.Get("cluster", "4x1"), style, error);
   if (!shape.has_value()) {
     return std::nullopt;
   }
-  const std::optional<double> bandwidth = ParseBandwidth(args.Get("gbps", "10"), error);
+  const std::optional<double> bandwidth = ParseBandwidth(args.Get("gbps", "10"), style, error);
   if (!bandwidth.has_value()) {
     return std::nullopt;
   }
@@ -147,16 +152,17 @@ std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error) 
   return cluster;
 }
 
-std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std::string* error) {
+std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std::string* error,
+                                                           FlagStyle style) {
   std::vector<ClusterConfig> clusters;
   for (const std::string& shape_text :
        StrSplit(args.Get("cluster", "2x1,2x2,4x1,4x2"), ',')) {
-    const std::optional<std::pair<int, int>> shape = ParseShape(shape_text, error);
+    const std::optional<std::pair<int, int>> shape = ParseShape(shape_text, style, error);
     if (!shape.has_value()) {
       return std::nullopt;
     }
     for (const std::string& gbps_text : StrSplit(args.Get("gbps", "10"), ',')) {
-      const std::optional<double> bandwidth = ParseBandwidth(gbps_text, error);
+      const std::optional<double> bandwidth = ParseBandwidth(gbps_text, style, error);
       if (!bandwidth.has_value()) {
         return std::nullopt;
       }
@@ -170,12 +176,15 @@ std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std
   return clusters;
 }
 
-std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* error) {
+std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* error,
+                                                FlagStyle style) {
   PipelineFlags flags;
   const std::string stages_text = args.Get("pipeline-stages");
   if (stages_text.empty()) {
     if (!args.Get("microbatches").empty() || !args.Get("schedule").empty()) {
-      *error = "--microbatches/--schedule require --pipeline-stages";
+      *error = StrFormat("%s/%s require %s", SpellFlag("microbatches", style).c_str(),
+                         SpellFlag("schedule", style).c_str(),
+                         SpellFlag("pipeline-stages", style).c_str());
       return std::nullopt;
     }
     return flags;  // disabled
@@ -185,17 +194,17 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
     const std::optional<int> stages = ParseInt(text);
     if (!stages.has_value() || *stages < 1 || *stages > kMaxPipelineStages) {
       *error = StrFormat(
-          "bad --pipeline-stages '%s' (expected a comma-separated list of stage counts in "
-          "1..%d)",
-          stages_text.c_str(), kMaxPipelineStages);
+          "bad %s '%s' (expected a comma-separated list of stage counts in 1..%d)",
+          SpellFlag("pipeline-stages", style).c_str(), stages_text.c_str(), kMaxPipelineStages);
       return std::nullopt;
     }
     flags.stages.push_back(*stages);
   }
   const std::optional<int> microbatches = ParseInt(args.Get("microbatches", "4"));
   if (!microbatches.has_value() || *microbatches < 1 || *microbatches > kMaxMicrobatches) {
-    *error = StrFormat("bad --microbatches '%s' (expected an integer in 1..%d)",
-                       args.Get("microbatches").c_str(), kMaxMicrobatches);
+    *error = StrFormat("bad %s '%s' (expected an integer in 1..%d)",
+                       SpellFlag("microbatches", style).c_str(), args.Get("microbatches").c_str(),
+                       kMaxMicrobatches);
     return std::nullopt;
   }
   flags.microbatches = *microbatches;
@@ -205,13 +214,14 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
   } else if (schedule == "1f1b") {
     flags.schedules = {PipelineScheduleKind::k1F1B};
   } else if (schedule != "both") {
-    *error = "bad --schedule '" + schedule + "' (expected gpipe, 1f1b or both)";
+    *error = StrFormat("bad %s '%s' (expected gpipe, 1f1b or both)",
+                       SpellFlag("schedule", style).c_str(), schedule.c_str());
     return std::nullopt;
   }
   // Inter-stage links ride the first --gbps value so pipeline cases rank
   // under the same network assumption as the distributed matrix.
   const std::optional<double> bandwidth =
-      ParseBandwidth(StrSplit(args.Get("gbps", "10"), ',').front(), error);
+      ParseBandwidth(StrSplit(args.Get("gbps", "10"), ',').front(), style, error);
   if (!bandwidth.has_value()) {
     return std::nullopt;
   }
@@ -219,33 +229,37 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
   return flags;
 }
 
-bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error) {
+bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error,
+                        FlagStyle style) {
   request->what_if = args.Get("what-if");
   request->validate = args.Has("validate");
   const std::optional<int> sim_jobs =
-      ParseJobsFlag(args, "sim-jobs", "1", /*minimum=*/1, FlagStyle::kCli, error);
+      ParseJobsFlag(args, "sim-jobs", "1", /*minimum=*/1, style, error);
   if (!sim_jobs.has_value()) {
     return false;
   }
   request->sim_jobs = *sim_jobs;
   if (request->what_if == "distributed" || request->what_if == "p3") {
-    const std::optional<ClusterConfig> cluster = ParseCluster(args, error);
+    const std::optional<ClusterConfig> cluster = ParseCluster(args, error, style);
     if (!cluster.has_value()) {
       return false;
     }
     request->cluster = *cluster;
   }
   if (request->what_if == "pipeline") {
-    const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error);
+    const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error, style);
     if (!pipeline.has_value()) {
       return false;
     }
     if (!pipeline->enabled || pipeline->stages.size() != 1) {
-      *error = "predict --what-if pipeline needs --pipeline-stages with a single value";
+      *error = StrFormat("predict %s pipeline needs %s with a single value",
+                         SpellFlag("what-if", style).c_str(),
+                         SpellFlag("pipeline-stages", style).c_str());
       return false;
     }
     if (pipeline->schedules.empty() && !args.Get("schedule").empty()) {
-      *error = "predict takes a single --schedule (gpipe or 1f1b)";
+      *error = StrFormat("predict takes a single %s (gpipe or 1f1b)",
+                         SpellFlag("schedule", style).c_str());
       return false;
     }
     request->pipeline.num_stages = pipeline->stages.front();
@@ -322,7 +336,7 @@ std::optional<int> ParseJobsFlag(const Args& args, const std::string& name,
 
 bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_jobs,
                        FlagStyle style, SweepRequest* request, std::string* error) {
-  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, error);
+  const std::optional<std::vector<ClusterConfig>> clusters = ParseClusterList(args, error, style);
   if (!clusters.has_value()) {
     return false;
   }
@@ -330,7 +344,7 @@ bool ParseSweepRequest(const Args& args, const Trace& trace, int default_sim_job
   if (!jobs.has_value()) {
     return false;
   }
-  const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error);
+  const std::optional<PipelineFlags> pipeline = ParsePipelineFlags(args, error, style);
   if (!pipeline.has_value()) {
     return false;
   }

@@ -68,15 +68,23 @@ constexpr int kMaxMicrobatches = 1024;       // --microbatches
 // before any thread starts.
 constexpr int kMaxJobs = 256;
 
+// How a diagnostic spells a flag: `--sim-jobs` on the command line,
+// `sim_jobs` as a serve request field. Every parser below that can reject a
+// flag takes a style (CLI by default) and spells the flag with SpellFlag.
+enum class FlagStyle { kCli, kServe };
+std::string SpellFlag(const std::string& name, FlagStyle style);
+
 // Builds a ClusterConfig from --cluster MxG and --gbps BW. Fills *error and
 // returns nullopt on malformed input, including a shape past
 // kMaxClusterMachines x kMaxGpusPerMachine.
-std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error);
+std::optional<ClusterConfig> ParseCluster(const Args& args, std::string* error,
+                                          FlagStyle style = FlagStyle::kCli);
 
 // Builds the cluster matrix for `daydream sweep`: the cross product of
 // --cluster (comma-separated MxG shapes, default "2x1,2x2,4x1,4x2") and
 // --gbps (comma-separated bandwidths, default "10").
-std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std::string* error);
+std::optional<std::vector<ClusterConfig>> ParseClusterList(const Args& args, std::string* error,
+                                                           FlagStyle style = FlagStyle::kCli);
 
 // Pipeline-parallel what-if flags:
 //   --pipeline-stages N[,N...]   stage counts to evaluate (1..kMaxPipelineStages)
@@ -95,7 +103,8 @@ struct PipelineFlags {
   std::vector<PipelineScheduleKind> schedules;  // empty = both kinds
   NetworkSpec network;
 };
-std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* error);
+std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* error,
+                                                FlagStyle style = FlagStyle::kCli);
 
 // Builds the session-layer WhatIfRequest from predict-style flags: --what-if
 // plus --validate/--sim-jobs always, --cluster/--gbps for distributed and
@@ -103,12 +112,8 @@ std::optional<PipelineFlags> ParsePipelineFlags(const Args& args, std::string* e
 // constraints) for pipeline. Unknown what-if names parse fine — resolution
 // is the session's job (TraceSession::ResolveTransform). Returns false with
 // *error set on malformed flags.
-bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error);
-
-// How a diagnostic spells a flag: `--sim-jobs` on the command line,
-// `sim_jobs` as a serve request field.
-enum class FlagStyle { kCli, kServe };
-std::string SpellFlag(const std::string& name, FlagStyle style);
+bool ParseWhatIfRequest(const Args& args, WhatIfRequest* request, std::string* error,
+                        FlagStyle style = FlagStyle::kCli);
 
 // Parses the thread-count flag `name` (`fallback` when absent): an integer in
 // [minimum, kMaxJobs], minimum 0 or 1. Fills *error, flag spelt per `style`,
